@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[int, ...]
@@ -54,13 +55,31 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
 
 
+def _support(m) -> list[list[tuple[int, int]]]:
+    """The nonzero entries of each row of ``m``, as (column, value) pairs."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Row-sparse product: row i is the sum of a[i][k] * b[k] over the
+    nonzero a[i][k], each b[k] taken on its nonzero entries only.
+
+    Equal to the textbook triple sum; an entry that no nonzero pair of
+    factors reaches is the integer 0.
+    """
     if a and b and len(a[0]) != len(b):
         raise LatticeError("matrix dimensions do not match")
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    width = len(b[0]) if b else 0
+    b_rows = _support(b)
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_vec(m: Matrix, v: Sequence) -> tuple:
@@ -224,6 +243,15 @@ class Lattice:
                     raise LatticeError("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", gram)
 
+    @cached_property
+    def _det(self) -> int:
+        return det(self.gram)
+
+    @cached_property
+    def _gram_support(self) -> list[list[tuple[int, int]]]:
+        """Nonzero entries of each row (equally, by symmetry, each column)."""
+        return _support(self.gram)
+
     @classmethod
     def from_gram(cls, gram, label: str | None = None) -> "Lattice":
         gram = as_matrix(gram)
@@ -334,7 +362,7 @@ def rescale(L: Lattice, k: int, label: str | None = None) -> Lattice:
 
 def discriminant(L: Lattice) -> int:
     """Determinant of the Gram matrix (1 for the rank-0 lattice)."""
-    return det(L.gram)
+    return L._det
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,23 +450,44 @@ def saturate(L: Lattice, s: Sublattice) -> Sublattice:
 
 
 def isometry_violation(L: Lattice, matrix) -> str | None:
-    """First violated isometry condition, or None when the matrix is one."""
+    """First violated isometry condition, or None when the matrix is one.
+
+    The entries q(f(b_i), f(b_j)) of M^T . gram . M are compared with the
+    Gram matrix for i <= j in row order, then |det M| = 1 is checked.  The
+    product is formed sparsely: column j of gram . M from the nonzero
+    entries of the Gram matrix and of column j.  On a nondegenerate form
+    M^T . gram . M = gram already forces det(M)^2 = 1, so the determinant
+    of M is only computed when det(gram) = 0.
+    """
     m = as_matrix(matrix)
     n = L.rank
     if len(m) != n or any(len(row) != n for row in m):
         raise LatticeError("matrix size does not match the lattice rank")
-    columns = transpose(m) if m else ()
-    for i in range(n):
+    columns = _support(transpose(m))
+    gram_support = L._gram_support
+    gm_columns = []
+    for col in columns:
+        acc = [0] * n
+        for k, x in col:
+            for i, g in gram_support[k]:
+                acc[i] += g * x
+        gm_columns.append(acc)
+    for i, col in enumerate(columns):
+        expected = L.gram[i]
         for j in range(i, n):
-            got = pairing(L, columns[i], columns[j])
-            if got != L.gram[i][j]:
+            gm = gm_columns[j]
+            got = 0
+            for k, x in col:
+                got += x * gm[k]
+            if got != expected[j]:
                 return (
                     f"q(f(b{i}), f(b{j})) = {got}, "
-                    f"expected q(b{i}, b{j}) = {L.gram[i][j]}"
+                    f"expected q(b{i}, b{j}) = {expected[j]}"
                 )
-    d = det(m)
-    if d not in (1, -1):
-        return f"det = {d}, expected 1 or -1"
+    if L._det == 0:
+        d = det(m)
+        if d not in (1, -1):
+            return f"det = {d}, expected 1 or -1"
     return None
 
 
@@ -451,8 +500,11 @@ def is_isometry(L: Lattice, matrix) -> bool:
 class Isometry:
     """A Gram-preserving integer matrix acting on lattice coordinates.
 
-    Validated on construction; column j is the image of the j-th basis
-    vector.
+    Column j is the image of the j-th basis vector.  The public constructor
+    validates the matrix; so does every function that accepts a raw
+    matrix.  Isometries the library builds itself (products, the identity,
+    reflections, natural lifts and extracted surface blocks) are isometries
+    by construction and are not checked again.
     """
 
     ambient: Lattice
@@ -465,6 +517,17 @@ class Isometry:
             raise LatticeError(f"not an isometry: {problem}")
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _trusted(cls, ambient: Lattice, matrix: Matrix) -> "Isometry":
+        """An isometry known to be one by construction: no validation.
+
+        ``matrix`` must already be a tuple of integer row tuples.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "ambient", ambient)
+        object.__setattr__(f, "matrix", matrix)
+        return f
+
     def apply(self, v) -> Vector:
         return mat_vec(self.matrix, as_vector(v))
 
@@ -473,7 +536,7 @@ class Isometry:
             return NotImplemented
         if other.ambient != self.ambient:
             raise LatticeError("isometries act on different lattices")
-        return Isometry(self.ambient, mat_mul(self.matrix, other.matrix))
+        return Isometry._trusted(self.ambient, mat_mul(self.matrix, other.matrix))
 
     def __eq__(self, other):
         if not isinstance(other, Isometry):
@@ -485,7 +548,7 @@ class Isometry:
 
 
 def identity_isometry(L: Lattice) -> Isometry:
-    return Isometry(L, identity_matrix(L.rank))
+    return Isometry._trusted(L, identity_matrix(L.rank))
 
 
 def reflection_isometry(L: Lattice, v) -> Isometry:
@@ -499,13 +562,13 @@ def reflection_isometry(L: Lattice, v) -> Isometry:
     if qv == 0:
         raise LatticeError("cannot reflect in a vector of norm zero")
     cols = []
-    for j in range(L.rank):
+    for j, q_jv in enumerate(mat_vec(L.gram, vec)):
         basis = L.basis_vector(j)
-        twice = 2 * pairing(L, basis, vec)
+        twice = 2 * q_jv
         if twice % qv != 0:
             raise LatticeError(
                 f"reflection in {vec} is not integral: q(v) = {qv} does not divide {twice}"
             )
         c = twice // qv
         cols.append(tuple(basis[i] - c * vec[i] for i in range(L.rank)))
-    return Isometry(L, transpose(tuple(cols)))
+    return Isometry._trusted(L, transpose(tuple(cols)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import NamedTuple, Union
 
 from .core import (
@@ -77,6 +77,12 @@ def k3_lattice() -> Lattice:
     return Lattice(K3_RANK, L.gram, label="K3")
 
 
+def _points(n) -> int:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise LatticeError("the number of points n must be an integer >= 2")
+    return n
+
+
 @dataclass(frozen=True)
 class DouadyLattice:
     """Second-cohomology lattice of the Douady space of n points on a K3
@@ -84,6 +90,16 @@ class DouadyLattice:
 
     n: int
     full: Lattice
+
+    def __post_init__(self):
+        # natural_lift and extract_surface_isometry rely on this block shape
+        corner = (0,) * K3_RANK + (-2 * (_points(self.n) - 1),)
+        expected = tuple(row + (0,) for row in k3_lattice().gram) + (corner,)
+        if not isinstance(self.full, Lattice) or self.full.gram != expected:
+            raise LatticeError(
+                f"DOUADY({self.n}) must be the K3 lattice extended by delta "
+                f"with q(delta) = {corner[-1]}"
+            )
 
     @property
     def rank(self) -> int:
@@ -114,11 +130,8 @@ class DouadyLattice:
 
 def douady_lattice(n: int) -> DouadyLattice:
     """Build the rank-23 lattice for the Douady space of n points (n >= 2)."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-        raise LatticeError("the number of points n must be an integer >= 2")
-    full = direct_sum(
-        k3_lattice(), diagonal_lattice((-2 * (n - 1),)), label=f"DOUADY({n})"
-    )
+    corner = diagonal_lattice((-2 * (_points(n) - 1),))
+    full = direct_sum(k3_lattice(), corner, label=f"DOUADY({n})")
     return DouadyLattice(n, full)
 
 
@@ -153,7 +166,7 @@ class ExceptionalPair:
             )
         object.__setattr__(self, "e", vec)
 
-    @property
+    @cached_property
     def surface_block(self) -> Lattice:
         rows = tuple(row[:-1] for row in self.lattice.gram[:-1])
         return Lattice(self.lattice.rank - 1, rows)
@@ -229,9 +242,8 @@ def pullback_decomposition(D: ExceptionalTarget, f) -> PullbackDecomposition:
     amb, e = _target(D)
     m = _isometry_matrix(amb, f)
     fe = mat_vec(m, e)
-    lam = Fraction(fe[-1], e[-1])
-    assert lam == Fraction(pairing(amb, fe, e), norm(amb, e))
-    return PullbackDecomposition(lam, fe[:-1])
+    # fe[-1] / e[-1] is the index: the last coordinate is orthogonal to the rest
+    return PullbackDecomposition(Fraction(fe[-1], e[-1]), fe[:-1])
 
 
 def natural_lift(D: ExceptionalTarget, phi) -> Isometry:
@@ -245,7 +257,7 @@ def natural_lift(D: ExceptionalTarget, phi) -> Isometry:
     n = amb.rank
     rows = [row + (0,) for row in m]
     rows.append((0,) * (n - 1) + (1,))
-    return Isometry(amb, tuple(rows))
+    return Isometry._trusted(amb, tuple(rows))
 
 
 def is_natural_on_lattice(D: ExceptionalTarget, f) -> bool:
@@ -271,12 +283,14 @@ def extract_surface_isometry(D: ExceptionalTarget, f) -> Isometry:
             f"the exceptional class is not fixed (image {mat_vec(m, e)}); "
             "no surface isometry to extract"
         )
-    n = amb.rank
-    # fixing e forces the block shape: last column is the last unit vector,
-    # and orthogonality of e-perp makes the last row vanish off the corner
-    assert all(m[i][-1] == (1 if i == n - 1 else 0) for i in range(n))
-    assert all(m[-1][j] == 0 for j in range(n - 1))
-    return Isometry(D.surface_block, tuple(row[:-1] for row in m[:-1]))
+    # Fixing e makes the last column the last unit vector, and preserving
+    # e-perp makes the last row vanish off the corner.  The block is then an
+    # isometry of the surface block, so it is built without a second check.
+    if any(row[-1] for row in m[:-1]) or any(m[-1][:-1]) or m[-1][-1] != 1:
+        raise LatticeError(
+            "a natural isometry must be block diagonal (surface part, 1)"
+        )
+    return Isometry._trusted(D.surface_block, tuple(row[:-1] for row in m[:-1]))
 
 
 def psi_first_chern(D: DouadyLattice, c, k: int = 1) -> Vector:
@@ -304,8 +318,7 @@ def index_norm_solutions(
     d^2 = d2.  The result is sorted and always contains (1, 0) and (-1, 0);
     for d2 > 0 no solution has lam = 0.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-        raise LatticeError("the number of points n must be an integer >= 2")
+    _points(n)
     if isinstance(d2, bool) or not isinstance(d2, int) or d2 == 0:
         raise LatticeError("d2 must be a nonzero integer")
     if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:

@@ -16,6 +16,7 @@ from .core import (
     Sublattice,
     as_matrix,
     det,
+    discriminant,
     identity_matrix,
     integer_kernel,
     isometry_violation,
@@ -158,7 +159,7 @@ def verify_pair_properties(G: IsometryGroup) -> PairReport:
     All three hold for any finite isometry group of a nondegenerate
     lattice; rank-0 pieces pass vacuously (empty determinant is 1).
     """
-    if det(G.ambient.gram) == 0:
+    if discriminant(G.ambient) == 0:
         raise LatticeError("ambient Gram matrix must be nondegenerate")
     inv = invariant_sublattice(G)
     co = orthogonal_complement(G.ambient, inv)
@@ -201,7 +202,7 @@ def ns_classification(L: Lattice, ns: Sublattice) -> NSClassification:
     an error; a block signature matching none of the three patterns is an
     error.
     """
-    if det(L.gram) == 0:
+    if discriminant(L) == 0:
         raise LatticeError("ambient lattice must be nondegenerate")
     if ns.ambient != L:
         raise LatticeError("sublattice does not live in this lattice")

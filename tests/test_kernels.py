@@ -1,0 +1,305 @@
+"""Property tests of the sparse exact kernels against brute-force oracles.
+
+``mat_mul`` is compared with the textbook triple sum, ``isometry_violation``
+with a dense M^T . gram . M followed by a Bareiss determinant, and every
+isometry the library builds without re-validation is checked with
+``is_isometry``.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import random_reflection_product
+from hilblat import (
+    DouadyLattice,
+    ExceptionalPair,
+    Isometry,
+    Lattice,
+    LatticeError,
+    det,
+    diagonal_lattice,
+    direct_sum,
+    douady_lattice,
+    extract_surface_isometry,
+    identity_isometry,
+    index_invariant,
+    is_isometry,
+    is_natural_on_lattice,
+    isometry_violation,
+    k3_lattice,
+    mat_mul,
+    mat_vec,
+    natural_lift,
+    norm,
+    reflection_isometry,
+)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+K3 = k3_lattice()
+D2 = douady_lattice(2)
+
+# Seeded and database-free, so every run tries the same examples.
+exact = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+small = st.integers(-3, 3)
+big = st.integers(-(2**70), 2**70)
+rational = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+entries = st.one_of(st.just(0), small, big, rational)
+
+
+def textbook_product(a, b):
+    width = len(b[0]) if b else 0
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(width))
+        for i in range(len(a))
+    )
+
+
+@st.composite
+def product_pairs(draw, inner=None):
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    inner = draw(st.integers(0, 5)) if inner is None else inner
+    a = tuple(tuple(draw(entries) for _ in range(inner)) for _ in range(rows))
+    b = tuple(tuple(draw(entries) for _ in range(cols)) for _ in range(inner))
+    return a, b
+
+
+@st.composite
+def lattices(draw, max_rank=5):
+    """Random symmetric Gram matrices; some with a zero row and column, so
+    that degenerate forms come up often."""
+    n = draw(st.integers(0, max_rank))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(small)
+    if n and draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        for i in range(n):
+            g[i][k] = g[k][i] = 0
+    return Lattice.from_gram(g)
+
+
+def dense_violation(L, m):
+    """Brute-force oracle: dense M^T . gram . M, then the Bareiss det."""
+    n = L.rank
+    g = L.gram
+    p = [
+        [
+            sum(m[a][i] * g[a][b] * m[b][j] for a in range(n) for b in range(n))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    for i in range(n):
+        for j in range(i, n):
+            if p[i][j] != g[i][j]:
+                return (
+                    f"q(f(b{i}), f(b{j})) = {p[i][j]}, "
+                    f"expected q(b{i}, b{j}) = {g[i][j]}"
+                )
+    d = det(m)
+    return None if d in (1, -1) else f"det = {d}, expected 1 or -1"
+
+
+def reflection_vectors(L, rng, count):
+    """Up to ``count`` random vectors whose reflection is integral."""
+    out = []
+    for _ in range(50 * count):
+        v = tuple(rng.randint(-2, 2) for _ in range(L.rank))
+        q = norm(L, v)
+        if q and all(2 * x % q == 0 for x in mat_vec(L.gram, v)):
+            out.append(v)
+            if len(out) == count:
+                break
+    return out
+
+
+def known_isometry(L, rng):
+    """Plus or minus a product of integral reflections, times a scaling of
+    the basis vectors whose Gram row is zero: M^T . gram . M = gram holds,
+    and on a degenerate form det M may be any integer."""
+    n = L.rank
+    sign = rng.choice((1, -1))
+    m = tuple(tuple(sign if i == j else 0 for j in range(n)) for i in range(n))
+    for v in reflection_vectors(L, rng, rng.randint(0, 3)):
+        m = mat_mul(m, reflection_isometry(L, v).matrix)
+    scale = [rng.randint(-3, 3) if not any(row) else 1 for row in L.gram]
+    diagonal = tuple(tuple(scale[i] if i == j else 0 for j in range(n)) for i in range(n))
+    return mat_mul(m, diagonal)
+
+
+class TestMatMul:
+    @exact
+    @given(product_pairs())
+    def test_equals_textbook_sum(self, pair):
+        a, b = pair
+        assert mat_mul(a, b) == textbook_product(a, b)
+
+    @exact
+    @given(product_pairs(inner=0))
+    def test_empty_inner_dimension(self, pair):
+        a, b = pair
+        assert mat_mul(a, b) == textbook_product(a, b) == tuple(() for _ in a)
+
+    def test_rational_entries(self):
+        a = ((Fraction(1, 2), 0), (3, Fraction(-2, 3)))
+        b = ((Fraction(4, 3), 1), (0, Fraction(3, 2)))
+        assert mat_mul(a, b) == ((Fraction(2, 3), Fraction(1, 2)), (4, 2))
+
+    @settings(exact, max_examples=30)
+    @given(product_pairs(), st.integers(1, 5))
+    def test_dimension_mismatch_raises(self, pair, extra):
+        a, b = pair
+        if not a or not b:
+            return
+        wrong = b + tuple(b[0] for _ in range(extra))
+        with pytest.raises(LatticeError):
+            mat_mul(a, wrong)
+
+
+class TestIsometryViolation:
+    @exact
+    @given(lattices(), st.data())
+    def test_random_matrices(self, L, data):
+        n = L.rank
+        m = tuple(tuple(data.draw(st.integers(-2, 2)) for _ in range(n)) for _ in range(n))
+        assert isometry_violation(L, m) == dense_violation(L, m)
+
+    @exact
+    @given(lattices(), st.randoms(use_true_random=False), st.booleans())
+    def test_isometries_and_near_misses(self, L, rng, perturb):
+        m = known_isometry(L, rng)
+        if perturb and L.rank:
+            i, j = rng.randrange(L.rank), rng.randrange(L.rank)
+            rows = [list(row) for row in m]
+            rows[i][j] += rng.choice((1, -1, 2))
+            m = tuple(tuple(row) for row in rows)
+        expected = dense_violation(L, m)
+        assert isometry_violation(L, m) == expected
+        if not perturb:
+            assert expected is None or expected.startswith("det = ")
+
+    def test_determinant_checked_only_on_degenerate_forms(self):
+        L = Lattice.from_gram([[2, 0], [0, 0]])
+        assert isometry_violation(L, ((1, 0), (0, 2))) == "det = 2, expected 1 or -1"
+        assert isometry_violation(L, ((1, 0), (5, 1))) is None
+
+    def test_k3_reflection_products(self):
+        rng = random.Random(5)
+        for _ in range(10):
+            m = random_reflection_product(K3, rng)
+            assert isometry_violation(K3, m) is None
+            bad = m[:-1] + (m[-1][:-1] + (m[-1][-1] + 1,),)
+            assert isometry_violation(K3, bad) == dense_violation(K3, bad)
+
+    @exact
+    @given(lattices(max_rank=3), st.integers(1, 2))
+    def test_shape_mismatch_raises(self, L, extra):
+        n = L.rank + extra
+        with pytest.raises(LatticeError):
+            isometry_violation(L, tuple(tuple(0 for _ in range(n)) for _ in range(n)))
+
+
+class TestTrustedConstructions:
+    @exact
+    @given(lattices(), st.randoms(use_true_random=False))
+    def test_identity_and_reflections(self, L, rng):
+        assert is_isometry(L, identity_isometry(L).matrix)
+        reflections = [reflection_isometry(L, v) for v in reflection_vectors(L, rng, 3)]
+        for r in reflections:
+            assert is_isometry(L, r.matrix)
+        product = identity_isometry(L)
+        for r in reflections:
+            product = product * r
+            assert is_isometry(L, product.matrix)
+
+    @settings(exact, max_examples=25)
+    @given(st.integers(0, 2**32))
+    def test_k3_products_lifts_and_extractions(self, seed):
+        rng = random.Random(seed)
+        a = Isometry(K3, random_reflection_product(K3, rng, max_length=3))
+        b = Isometry(K3, random_reflection_product(K3, rng, max_length=3))
+        assert is_isometry(K3, (a * b).matrix)
+        lift = natural_lift(D2, a * b)
+        assert is_isometry(D2.full, lift.matrix)
+        assert is_isometry(D2.full, (lift * natural_lift(D2, b.matrix)).matrix)
+        block = extract_surface_isometry(D2, lift)
+        assert block.matrix == (a * b).matrix and is_isometry(K3, block.matrix)
+
+    @exact
+    @given(
+        lattices(max_rank=4),
+        st.integers(-4, 4).filter(bool),
+        st.randoms(use_true_random=False),
+    )
+    def test_lifts_and_extractions_on_pairs(self, block, corner, rng):
+        ambient = direct_sum(block, diagonal_lattice((corner,)))
+        pair = ExceptionalPair(ambient, (0,) * block.rank + (1,))
+        phi = identity_isometry(block)
+        for v in reflection_vectors(block, rng, 2):
+            phi = phi * reflection_isometry(block, v)
+        lift = natural_lift(pair, phi)
+        assert is_isometry(pair.lattice, lift.matrix)
+        back = extract_surface_isometry(pair, lift.matrix)
+        assert back.matrix == phi.matrix and is_isometry(pair.surface_block, back.matrix)
+
+    def test_surface_block_is_cached(self):
+        pair = ExceptionalPair(diagonal_lattice((4, -8)), (0, 1))
+        assert pair.surface_block is pair.surface_block
+
+
+class TestBoundaries:
+    def test_douady_lattice_must_have_the_douady_form(self):
+        for n, full in ((2, k3_lattice()), (2, douady_lattice(3).full), (1, D2.full)):
+            with pytest.raises(LatticeError):
+                DouadyLattice(n, full)
+        assert DouadyLattice(2, D2.full) == D2
+
+    def test_public_constructor_still_validates(self):
+        lift = natural_lift(D2, reflection_isometry(K3, (1, -1) + (0,) * 20)).matrix
+        bad = lift[:-1] + (lift[-1][:-1] + (2,),)
+        with pytest.raises(LatticeError):
+            Isometry(D2.full, bad)
+        for check in (index_invariant, is_natural_on_lattice):
+            with pytest.raises(LatticeError):
+                check(D2, bad)
+
+
+# A forged isometry that fixes e = (0, 0, 1) but has a nonzero last row:
+# extract_surface_isometry must refuse it instead of building the block.
+_FORGED = """
+from hilblat import ExceptionalPair, Isometry, LatticeError, diagonal_lattice, extract_surface_isometry
+pair = ExceptionalPair(diagonal_lattice((1, 1, -2)), (0, 0, 1))
+forged = Isometry._trusted(pair.lattice, ((1, 0, 0), (0, 1, 0), (1, 0, 1)))
+try:
+    extract_surface_isometry(pair, forged)
+except LatticeError as exc:
+    print("optimized" if not __debug__ else "debug", "refused:", exc)
+"""
+
+
+class TestShapeCheckWithoutAsserts:
+    def test_refused_in_process(self):
+        pair = ExceptionalPair(diagonal_lattice((1, 1, -2)), (0, 0, 1))
+        forged = Isometry._trusted(pair.lattice, ((1, 0, 0), (0, 1, 0), (1, 0, 1)))
+        with pytest.raises(LatticeError, match="block diagonal"):
+            extract_surface_isometry(pair, forged)
+
+    def test_refused_under_python_O(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", _FORGED],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("optimized refused:")
+        assert "block diagonal" in out.stdout
