@@ -13,12 +13,12 @@ import sys
 from fractions import Fraction
 
 from .core import (
+    Isometry,
     Lattice,
     LatticeError,
     Sublattice,
     discriminant,
     isometry_violation,
-    mat_vec,
     norm,
     orthogonal_complement,
     signature,
@@ -26,8 +26,6 @@ from .core import (
 from .douady import (
     DouadyLattice,
     ExceptionalPair,
-    delta_class,
-    e_class,
     extract_surface_isometry,
     index_invariant,
     index_norm_solutions,
@@ -130,51 +128,59 @@ def cmd_isometry_check(ws: Workspace, args):
     return lines, payload
 
 
-def cmd_index(ws: Workspace, args):
+def _index_body(target: ExceptionalPair, f: Isometry):
+    lam = index_invariant(target, f)
+    dec = pullback_decomposition(target, f)
+    lines = [f"lambda = {fmt_frac(lam)}", f"d = {fmt_vec(dec.d)}"]
+    return lines, {"lambda": fmt_frac(lam), "d": [int(x) for x in dec.d]}
+
+
+def _not_natural_body(target: ExceptionalPair, f: Isometry):
+    """The image of the moved class: delta on a Douady lattice, e otherwise."""
+    if isinstance(target, DouadyLattice):
+        moved, image = "delta", f.apply(target.delta)
+    else:
+        moved, image = "e", f.apply(target.e)
+    lines = ["NOT-NATURAL", f"f({moved}) = {fmt_vec(image)}"]
+    return lines, {"moved_class": moved, "image": [int(x) for x in image]}
+
+
+def _named_isometry(ws: Workspace, args) -> tuple[ExceptionalPair, Isometry]:
+    """The lattice and the isometry named on the command line; the matrix
+    is checked once, here."""
     target = ws.exceptional(args.lattice)
     matrix = _named_isometry_matrix(ws, args.lattice, args.isometry)
-    lam = index_invariant(target, matrix)
-    dec = pullback_decomposition(target, matrix)
-    lines = [f"lambda = {fmt_frac(lam)}", f"d = {fmt_vec(dec.d)}"]
+    return target, Isometry(target.lattice, matrix)
+
+
+def cmd_index(ws: Workspace, args):
+    target, f = _named_isometry(ws, args)
+    lines, body = _index_body(target, f)
     payload = {
         "command": "index",
         "lattice": args.lattice,
         "isometry": args.isometry,
-        "lambda": fmt_frac(lam),
-        "d": [int(x) for x in dec.d],
+        **body,
     }
     return lines, payload
 
 
 def cmd_natural_check(ws: Workspace, args):
-    target = ws.exceptional(args.lattice)
-    matrix = _named_isometry_matrix(ws, args.lattice, args.isometry)
-    natural = is_natural_on_lattice(target, matrix)
-    if natural:
-        phi = extract_surface_isometry(target, matrix)
+    target, f = _named_isometry(ws, args)
+    payload = {
+        "command": "natural-check",
+        "lattice": args.lattice,
+        "isometry": args.isometry,
+        "natural": is_natural_on_lattice(target, f),
+    }
+    if payload["natural"]:
+        phi = extract_surface_isometry(target, f)
         lines = ["NATURAL"]
         lines += [f"surface: {fmt_vec(row)}" for row in phi.matrix]
-        payload = {
-            "command": "natural-check",
-            "lattice": args.lattice,
-            "isometry": args.isometry,
-            "natural": True,
-            "surface_block": [list(row) for row in phi.matrix],
-        }
+        payload["surface_block"] = [list(row) for row in phi.matrix]
     else:
-        if isinstance(target, DouadyLattice):
-            moved, image = "delta", mat_vec(matrix, delta_class(target))
-        else:
-            moved, image = "e", mat_vec(matrix, e_class(target))
-        lines = ["NOT-NATURAL", f"f({moved}) = {fmt_vec(image)}"]
-        payload = {
-            "command": "natural-check",
-            "lattice": args.lattice,
-            "isometry": args.isometry,
-            "natural": False,
-            "moved_class": moved,
-            "image": [int(x) for x in image],
-        }
+        lines, body = _not_natural_body(target, f)
+        payload.update(body)
     return lines, payload
 
 
@@ -291,12 +297,12 @@ def _report_lattice(ws: Workspace, name: str):
     lines.append(f"discriminant: {disc}")
     item["signature"] = list(sig)
     item["discriminant"] = disc
-    if isinstance(entry, (DouadyLattice, ExceptionalPair)):
-        qe = norm(L, e_class(entry))
+    if isinstance(entry, ExceptionalPair):
+        qe = norm(L, entry.e)
         lines.append(f"q(e) = {qe}")
         item["q_e"] = qe
         if isinstance(entry, DouadyLattice):
-            qd = norm(L, delta_class(entry))
+            qd = norm(L, entry.delta)
             lines.append(f"q(delta) = {qd}")
             item["q_delta"] = qd
     return lines, item
@@ -345,25 +351,18 @@ def _report_isometry(ws: Workspace, name: str):
         return lines, item
     lines.append("ISOMETRY")
     target = ws.entry(entry.lattice)
-    if isinstance(target, (DouadyLattice, ExceptionalPair)):
-        lam = index_invariant(target, entry.matrix)
-        dec = pullback_decomposition(target, entry.matrix)
-        lines.append(f"lambda = {fmt_frac(lam)}")
-        lines.append(f"d = {fmt_vec(dec.d)}")
-        item["lambda"] = fmt_frac(lam)
-        item["d"] = [int(x) for x in dec.d]
-        natural = is_natural_on_lattice(target, entry.matrix)
-        item["natural"] = natural
-        if natural:
+    if isinstance(target, ExceptionalPair):
+        f = Isometry._trusted(L, entry.matrix)  # checked just above
+        part, body = _index_body(target, f)
+        lines += part
+        item.update(body)
+        item["natural"] = is_natural_on_lattice(target, f)
+        if item["natural"]:
             lines.append("NATURAL")
         else:
-            if isinstance(target, DouadyLattice):
-                moved, image = "delta", mat_vec(entry.matrix, delta_class(target))
-            else:
-                moved, image = "e", mat_vec(entry.matrix, e_class(target))
-            lines += ["NOT-NATURAL", f"f({moved}) = {fmt_vec(image)}"]
-            item["moved_class"] = moved
-            item["image"] = [int(x) for x in image]
+            part, body = _not_natural_body(target, f)
+            lines += part
+            item.update(body)
     return lines, item
 
 

@@ -367,15 +367,10 @@ def discriminant(L: Lattice) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Sublattice:
-    """A finitely generated sublattice, stored on a canonical Hermite basis.
-
-    ``saturated`` is computed on construction: true iff the integer span
-    equals the intersection of the rational span with the ambient lattice.
-    """
+    """A finitely generated sublattice, stored on a canonical Hermite basis."""
 
     ambient: Lattice
     basis: tuple[Vector, ...]
-    saturated: bool = False
 
     def __post_init__(self):
         vecs = [as_vector(v) for v in self.basis]
@@ -383,9 +378,12 @@ class Sublattice:
         if len(canon) != len(vecs):
             raise LatticeError("sublattice generators are linearly dependent")
         object.__setattr__(self, "basis", canon)
-        object.__setattr__(
-            self, "saturated", canon == saturation_basis(canon, self.ambient.rank)
-        )
+
+    @cached_property
+    def saturated(self) -> bool:
+        """Whether the integer span equals the intersection of the rational
+        span with the ambient lattice; computed on first use."""
+        return self.basis == saturation_basis(self.basis, self.ambient.rank)
 
     @property
     def rank(self) -> int:
@@ -459,7 +457,11 @@ def isometry_violation(L: Lattice, matrix) -> str | None:
     M^T . gram . M = gram already forces det(M)^2 = 1, so the determinant
     of M is only computed when det(gram) = 0.
     """
-    m = as_matrix(matrix)
+    return _violation(L, as_matrix(matrix))
+
+
+def _violation(L: Lattice, m: Matrix) -> str | None:
+    """isometry_violation on a matrix that has been through as_matrix."""
     n = L.rank
     if len(m) != n or any(len(row) != n for row in m):
         raise LatticeError("matrix size does not match the lattice rank")
@@ -502,20 +504,17 @@ class Isometry:
 
     Column j is the image of the j-th basis vector.  The public constructor
     validates the matrix; so does every function that accepts a raw
-    matrix.  Isometries the library builds itself (products, the identity,
-    reflections, natural lifts and extracted surface blocks) are isometries
-    by construction and are not checked again.
+    matrix, through ``_isometry_matrix``.  Isometries the library builds
+    itself (products, the identity, reflections, natural lifts and
+    extracted surface blocks) are isometries by construction and are not
+    checked again.
     """
 
     ambient: Lattice
     matrix: Matrix
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
-        problem = isometry_violation(self.ambient, m)
-        if problem is not None:
-            raise LatticeError(f"not an isometry: {problem}")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _isometry_matrix(self.ambient, self.matrix))
 
     @classmethod
     def _trusted(cls, ambient: Lattice, matrix: Matrix) -> "Isometry":
@@ -545,6 +544,24 @@ class Isometry:
 
     def __hash__(self):
         return hash((self.ambient, self.matrix))
+
+
+def _isometry_matrix(L: Lattice, f, role: str = "isometry") -> Matrix:
+    """The matrix of ``f`` on ``L``: an Isometry's own matrix, or a raw
+    matrix taken through as_matrix once and checked once.
+
+    ``role`` names ``f`` in the errors ("isometry" or "generator").
+    """
+    if isinstance(f, Isometry):
+        if f.ambient != L:
+            raise LatticeError(f"{role} acts on a different lattice")
+        return f.matrix
+    m = as_matrix(f)
+    problem = _violation(L, m)
+    if problem is not None:
+        subject = "" if role == "isometry" else f"{role} is "
+        raise LatticeError(f"{subject}not an isometry: {problem}")
+    return m
 
 
 def identity_isometry(L: Lattice) -> Isometry:

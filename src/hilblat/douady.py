@@ -1,12 +1,13 @@
 """The K3 lattice, its rank-23 extension for Douady spaces of n points,
 and the invariants attached to the exceptional divisor class.
 
-The extended lattice carries a distinguished primitive class delta in its
-last coordinate, orthogonal to the embedded K3 block, with
-q(delta) = -2(n-1).  The class of the exceptional divisor is e = 2*delta,
-so q(e) = -8(n-1).  An isometry is natural (induced by a surface isometry)
-exactly when it fixes delta, in which case it splits as a block matrix
-(surface part, identity).
+Every function here works on an ExceptionalPair: a lattice with a
+designated exceptional class e in its last coordinate, orthogonal to the
+rest.  An isometry is natural exactly when it fixes e, in which case it
+splits as a block matrix (surface part, identity).  DouadyLattice is the
+full case: the K3 lattice extended by a primitive class delta with
+q(delta) = -2(n-1) and e = 2*delta, so q(e) = -8(n-1).  A Picard block
+such as the rank-2 quartic one is another case.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .core import (
     Isometry,
@@ -24,11 +25,10 @@ from .core import (
     Sublattice,
     Vector,
     _exact_vector,
-    as_matrix,
+    _isometry_matrix,
     as_vector,
     diagonal_lattice,
     direct_sum,
-    isometry_violation,
     mat_vec,
     norm,
     pairing,
@@ -84,66 +84,14 @@ def _points(n) -> int:
 
 
 @dataclass(frozen=True)
-class DouadyLattice:
-    """Second-cohomology lattice of the Douady space of n points on a K3
-    surface: the K3 lattice extended by Z*delta in the last coordinate."""
-
-    n: int
-    full: Lattice
-
-    def __post_init__(self):
-        # natural_lift and extract_surface_isometry rely on this block shape
-        corner = (0,) * K3_RANK + (-2 * (_points(self.n) - 1),)
-        expected = tuple(row + (0,) for row in k3_lattice().gram) + (corner,)
-        if not isinstance(self.full, Lattice) or self.full.gram != expected:
-            raise LatticeError(
-                f"DOUADY({self.n}) must be the K3 lattice extended by delta "
-                f"with q(delta) = {corner[-1]}"
-            )
-
-    @property
-    def rank(self) -> int:
-        return self.full.rank
-
-    @property
-    def delta_index(self) -> int:
-        """Basis position of the distinguished class delta."""
-        return K3_RANK
-
-    @property
-    def delta(self) -> Vector:
-        return (0,) * K3_RANK + (1,)
-
-    @property
-    def e(self) -> Vector:
-        """The exceptional divisor class e = 2*delta."""
-        return (0,) * K3_RANK + (2,)
-
-    @property
-    def surface_block(self) -> Lattice:
-        return k3_lattice()
-
-    def k3_sublattice(self) -> Sublattice:
-        rows = tuple(self.full.basis_vector(i) for i in range(K3_RANK))
-        return Sublattice(self.full, rows)
-
-
-def douady_lattice(n: int) -> DouadyLattice:
-    """Build the rank-23 lattice for the Douady space of n points (n >= 2)."""
-    corner = diagonal_lattice((-2 * (_points(n) - 1),))
-    full = direct_sum(k3_lattice(), corner, label=f"DOUADY({n})")
-    return DouadyLattice(n, full)
-
-
-@dataclass(frozen=True)
 class ExceptionalPair:
-    """A lattice with a designated exceptional class in its last coordinate.
+    """A lattice with a designated exceptional class e in its last coordinate.
 
     The class must be a nonzero multiple of the last basis vector, which
-    must be orthogonal to the other basis vectors and of nonzero norm.
-    This is the ambient structure needed for index and naturality
-    computations when only a block of the full rank-23 lattice is modeled,
-    e.g. a rank-2 Picard block.
+    must be orthogonal to the other basis vectors and of nonzero norm; the
+    other basis vectors span the surface block.  DouadyLattice is the case
+    of the full rank-23 lattice with e = 2*delta; a Picard block such as
+    the rank-2 quartic one is another.
     """
 
     lattice: Lattice
@@ -172,30 +120,65 @@ class ExceptionalPair:
         return Lattice(self.lattice.rank - 1, rows)
 
 
-ExceptionalTarget = Union[DouadyLattice, ExceptionalPair]
+@dataclass(frozen=True, init=False)
+class DouadyLattice(ExceptionalPair):
+    """Second-cohomology lattice of the Douady space of n points on a K3
+    surface: the K3 lattice extended by Z*delta in the last coordinate,
+    with exceptional class e = 2*delta."""
+
+    n: int
+
+    def __init__(self, n: int, full: Lattice):
+        object.__setattr__(self, "n", n)
+        super().__init__(full, (0,) * K3_RANK + (2,))
+
+    def __post_init__(self):
+        # natural_lift and extract_surface_isometry rely on this block shape
+        corner = (0,) * K3_RANK + (-2 * (_points(self.n) - 1),)
+        expected = tuple(row + (0,) for row in k3_lattice().gram) + (corner,)
+        if not isinstance(self.lattice, Lattice) or self.lattice.gram != expected:
+            raise LatticeError(
+                f"DOUADY({self.n}) must be the K3 lattice extended by delta "
+                f"with q(delta) = {corner[-1]}"
+            )
+
+    @property
+    def full(self) -> Lattice:
+        """The whole rank-23 lattice; the same as ``lattice``."""
+        return self.lattice
+
+    @property
+    def rank(self) -> int:
+        return self.lattice.rank
+
+    @property
+    def delta_index(self) -> int:
+        """Basis position of the distinguished class delta."""
+        return K3_RANK
+
+    @property
+    def delta(self) -> Vector:
+        return (0,) * K3_RANK + (1,)
+
+    def k3_sublattice(self) -> Sublattice:
+        rows = tuple(self.lattice.basis_vector(i) for i in range(K3_RANK))
+        return Sublattice(self.lattice, rows)
+
+
+def douady_lattice(n: int) -> DouadyLattice:
+    """Build the rank-23 lattice for the Douady space of n points (n >= 2)."""
+    corner = diagonal_lattice((-2 * (_points(n) - 1),))
+    full = direct_sum(k3_lattice(), corner, label=f"DOUADY({n})")
+    return DouadyLattice(n, full)
 
 
 def _target(D) -> tuple[Lattice, Vector]:
-    if isinstance(D, DouadyLattice):
-        return D.full, D.e
     if isinstance(D, ExceptionalPair):
         return D.lattice, D.e
     raise LatticeError("expected a Douady lattice or an exceptional pair")
 
 
-def _isometry_matrix(L: Lattice, f) -> Matrix:
-    if isinstance(f, Isometry):
-        if f.ambient != L:
-            raise LatticeError("isometry acts on a different lattice")
-        return f.matrix
-    m = as_matrix(f)
-    problem = isometry_violation(L, m)
-    if problem is not None:
-        raise LatticeError(f"not an isometry: {problem}")
-    return m
-
-
-def iota(D: ExceptionalTarget, v) -> Vector:
+def iota(D: ExceptionalPair, v) -> Vector:
     """Pairing-preserving embedding of a surface class: pad with a zero
     exceptional coordinate."""
     amb, _ = _target(D)
@@ -207,7 +190,7 @@ def iota(D: ExceptionalTarget, v) -> Vector:
     return vec + (0,)
 
 
-def e_class(D: ExceptionalTarget) -> Vector:
+def e_class(D: ExceptionalPair) -> Vector:
     """Coordinates of the exceptional divisor class e."""
     return _target(D)[1]
 
@@ -219,7 +202,7 @@ def delta_class(D: DouadyLattice) -> Vector:
     return D.delta
 
 
-def index_invariant(D: ExceptionalTarget, f) -> Fraction:
+def index_invariant(D: ExceptionalPair, f) -> Fraction:
     """The index q(f(e), e) / q(e) of an isometry, as an exact rational.
 
     Equals 1 for every natural isometry; invariant under composition with
@@ -237,7 +220,7 @@ class PullbackDecomposition(NamedTuple):
     d: Vector
 
 
-def pullback_decomposition(D: ExceptionalTarget, f) -> PullbackDecomposition:
+def pullback_decomposition(D: ExceptionalPair, f) -> PullbackDecomposition:
     """Split the image of e along the exceptional line and the surface block."""
     amb, e = _target(D)
     m = _isometry_matrix(amb, f)
@@ -246,7 +229,7 @@ def pullback_decomposition(D: ExceptionalTarget, f) -> PullbackDecomposition:
     return PullbackDecomposition(Fraction(fe[-1], e[-1]), fe[:-1])
 
 
-def natural_lift(D: ExceptionalTarget, phi) -> Isometry:
+def natural_lift(D: ExceptionalPair, phi) -> Isometry:
     """Extend an isometry of the surface block by the identity on delta.
 
     An injective group homomorphism; every lift fixes delta and has
@@ -260,7 +243,7 @@ def natural_lift(D: ExceptionalTarget, phi) -> Isometry:
     return Isometry._trusted(amb, tuple(rows))
 
 
-def is_natural_on_lattice(D: ExceptionalTarget, f) -> bool:
+def is_natural_on_lattice(D: ExceptionalPair, f) -> bool:
     """Lattice-level naturality criterion: the exceptional class is fixed.
 
     On the full Douady lattice this is f(delta) = delta; a natural isometry
@@ -271,7 +254,7 @@ def is_natural_on_lattice(D: ExceptionalTarget, f) -> bool:
     return mat_vec(m, e) == e
 
 
-def extract_surface_isometry(D: ExceptionalTarget, f) -> Isometry:
+def extract_surface_isometry(D: ExceptionalPair, f) -> Isometry:
     """Recover the surface-block isometry of a natural isometry.
 
     Inverse to natural_lift; raises when the exceptional class is moved.
@@ -374,7 +357,7 @@ class KahlerCandidateReport:
         )
 
 
-def kahler_candidate_check(D: ExceptionalTarget, omega) -> KahlerCandidateReport:
+def kahler_candidate_check(D: ExceptionalPair, omega) -> KahlerCandidateReport:
     """Evaluate the Kaehler-candidate conditions on a rational class.
 
     The class is given in ambient coordinates and decomposed as

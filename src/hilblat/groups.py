@@ -8,18 +8,17 @@ from enum import Enum
 from typing import Optional
 
 from .core import (
-    Isometry,
     Lattice,
     LatticeError,
     Matrix,
     SignatureTriple,
     Sublattice,
+    _isometry_matrix,
     as_matrix,
     det,
     discriminant,
     identity_matrix,
     integer_kernel,
-    isometry_violation,
     mat_mul,
     mat_vec,
     orthogonal_complement,
@@ -27,14 +26,12 @@ from .core import (
     rational_span_leq,
     sub_signature,
 )
-from .douady import DouadyLattice, ExceptionalPair
+from .douady import ExceptionalPair
 
 DEFAULT_CLOSURE_CAP = 10_000
 
 
 def _plain_lattice(target) -> Lattice:
-    if isinstance(target, DouadyLattice):
-        return target.full
     if isinstance(target, ExceptionalPair):
         return target.lattice
     if isinstance(target, Lattice):
@@ -74,18 +71,7 @@ def closure(target, generators, cap: int = DEFAULT_CLOSURE_CAP) -> IsometryGroup
     group.
     """
     L = _plain_lattice(target)
-    gens = []
-    for g in generators:
-        if isinstance(g, Isometry):
-            if g.ambient != L:
-                raise LatticeError("generator acts on a different lattice")
-            m = g.matrix
-        else:
-            m = as_matrix(g)
-            problem = isometry_violation(L, m)
-            if problem is not None:
-                raise LatticeError(f"generator is not an isometry: {problem}")
-        gens.append(m)
+    gens = [_isometry_matrix(L, g, "generator") for g in generators]
     ident = identity_matrix(L.rank)
     elements = {ident}
     frontier = [ident]

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 from .core import Lattice, Matrix, Vector
 from .douady import (
-    DouadyLattice,
     ExceptionalPair,
     douady_lattice,
     e8_minus,
@@ -43,7 +42,7 @@ from .douady import (
 
 _DOUADY_RE = re.compile(r"^DOUADY\((-?\d+)\)$")
 
-LatticeEntry = Lattice | DouadyLattice | ExceptionalPair
+LatticeEntry = Lattice | ExceptionalPair
 
 
 class WorkspaceError(ValueError):
@@ -136,15 +135,11 @@ class Workspace:
 
     def lattice(self, name: str) -> Lattice:
         entry = self.entry(name)
-        if isinstance(entry, DouadyLattice):
-            return entry.full
-        if isinstance(entry, ExceptionalPair):
-            return entry.lattice
-        return entry
+        return entry.lattice if isinstance(entry, ExceptionalPair) else entry
 
-    def exceptional(self, name: str) -> DouadyLattice | ExceptionalPair:
+    def exceptional(self, name: str) -> ExceptionalPair:
         entry = self.entry(name)
-        if isinstance(entry, (DouadyLattice, ExceptionalPair)):
+        if isinstance(entry, ExceptionalPair):
             return entry
         raise WorkspaceError(
             f"lattice {name!r} has no designated exceptional class"

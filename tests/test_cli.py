@@ -1,8 +1,17 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from hilblat import WorkspaceError, parse_workspace
+from hilblat import (
+    LatticeError,
+    WorkspaceError,
+    closure,
+    e8_minus,
+    hyperbolic_plane,
+    identity_isometry,
+    parse_workspace,
+)
 from hilblat.cli import main
 from hilblat.workspace import builtin_lattice, load_workspace
 
@@ -333,3 +342,82 @@ class TestJsonMirrorsText:
             "lambda": "-3",
             "d": [4],
         }
+
+
+DATA = Path(__file__).parent / "data"
+SHEAR = {"lattice": "plane", "matrix": [[1, 1], [0, 1]]}
+NOT_ISOMETRY = "generator is not an isometry: q(f(b1), f(b1)) = 2, expected q(b1, b1) = 0"
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return {"exit": code, "stdout": captured.out, "stderr": captured.err}
+
+
+class TestGoldenOutputs:
+    """Outputs captured from an earlier release, compared byte for byte."""
+
+    def test_report_json_golden(self, capsys):
+        got = _run(capsys, ["report", "--workspace", str(DATA / "workspace.json"), "--json"])
+        golden = (DATA / "report_golden.json").read_text(encoding="utf-8")
+        assert got == {"exit": 0, "stdout": golden, "stderr": ""}
+
+    def test_douady_workspace_golden(self, capsys):
+        # a natural, a non-natural and a non-isometric matrix on DOUADY(2),
+        # so the q(delta) and f(delta) lines are pinned too
+        workspace = str(DATA / "douady_workspace.json")
+        golden = json.loads((DATA / "douady_golden.json").read_text(encoding="utf-8"))
+        assert len(golden) == 14
+        for command, expected in golden.items():
+            argv = command.split()
+            argv[1:1] = ["--workspace", workspace]
+            assert _run(capsys, argv) == expected, command
+
+
+class TestClosureErrors:
+    def test_non_isometry_generator(self, tmp_path, capsys):
+        ws = _workspace_file(
+            tmp_path,
+            {
+                "lattices": {"plane": "U"},
+                "isometries": {"shear": SHEAR},
+                "groups": {"G": {"lattice": "plane", "generators": ["shear"]}},
+            },
+        )
+        for extra in ([], ["--json"]):
+            got = _run(capsys, ["invariant", "G", "--workspace", ws] + extra)
+            assert got == {"exit": 3, "stdout": "", "stderr": f"error: {NOT_ISOMETRY}\n"}
+        got = _run(capsys, ["report", "--workspace", ws])
+        assert got["exit"] == 0 and got["stderr"] == ""
+        assert got["stdout"].endswith(f"== group G (on plane) ==\nerror: {NOT_ISOMETRY}\n")
+        got = _run(capsys, ["report", "--workspace", ws, "--json"])
+        assert json.loads(got["stdout"])["items"][-1] == {
+            "kind": "group",
+            "name": "G",
+            "lattice": "plane",
+            "error": NOT_ISOMETRY,
+        }
+
+    def test_generator_on_another_lattice(self, tmp_path, capsys):
+        ws = _workspace_file(
+            tmp_path,
+            {
+                "lattices": {"plane": "U", "other": "U"},
+                "isometries": {"shear": SHEAR},
+                "groups": {"G": {"lattice": "other", "generators": ["shear"]}},
+            },
+        )
+        message = "error: groups.G: generator 'shear' acts on a different lattice\n"
+        for argv in (["invariant", "G"], ["report"]):
+            got = _run(capsys, argv + ["--workspace", ws])
+            assert got == {"exit": 2, "stdout": "", "stderr": message}
+
+    def test_closure_messages(self):
+        U = hyperbolic_plane()
+        with pytest.raises(LatticeError) as exc:
+            closure(U, [identity_isometry(U), identity_isometry(e8_minus())])
+        assert str(exc.value) == "generator acts on a different lattice"
+        with pytest.raises(LatticeError) as exc:
+            closure(U, [[[0, 1], [1, 0]], SHEAR["matrix"]])
+        assert str(exc.value) == NOT_ISOMETRY
