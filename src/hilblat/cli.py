@@ -264,13 +264,10 @@ def cmd_classify(ws: Workspace, args):
 
 
 def cmd_solve_index(ws: Workspace, args):
-    if args.n < 2:
-        raise WorkspaceError("n must be an integer >= 2")
-    if args.d2 == 0:
-        raise WorkspaceError("d2 must be nonzero")
-    if args.bound < 1:
-        raise WorkspaceError("bound must be a positive integer")
-    solutions = index_norm_solutions(args.n, args.d2, args.bound)
+    try:
+        solutions = index_norm_solutions(args.n, args.d2, args.bound)
+    except LatticeError as exc:  # a bad command-line argument: usage error
+        raise WorkspaceError(str(exc)) from None
     lines = [
         f"n = {args.n}, d2 = {args.d2}, bound = {args.bound}",
         f"solutions: {len(solutions)}",
@@ -483,6 +480,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Integers keep every digit from the input to the output.  Python
+    # caps int <-> str conversion by default since 3.10.7; lift the cap
+    # for this call only.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

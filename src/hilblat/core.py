@@ -9,6 +9,7 @@ operation states otherwise.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -113,6 +114,98 @@ def det(m: Matrix) -> int:
     return sign * a[-1][-1]
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) > 0 and s*a + t*b = g, for (a, b) != (0, 0)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
+
+
+def _reduce(row: list[int], c: int, pivots: dict, cols: list[int]) -> list[int]:
+    """``row`` with its entries in the pivot columns after ``c`` reduced
+    into [0, pivot), left to right."""
+    for col in cols[bisect_right(cols, c):]:
+        if row[col]:
+            p = pivots[col]
+            q = row[col] // p[col]
+            if q:
+                row = [x - q * y for x, y in zip(row, p)]
+    return row
+
+
+def _hnf(rows) -> tuple[Vector, ...]:
+    """Row Hermite normal form of integer rows of one common width.
+
+    The single echelon routine behind ``hermite_basis``, ``rank_of``,
+    ``integer_kernel`` and ``saturation_basis``.  Rows are inserted one at
+    a time (Kannan-Bachem order).  Where a row meets a pivot, Euclid on
+    the two rows leaves the gcd in the pivot row and clears the row's
+    entry, and each changed row is reduced modulo the pivots after it, so
+    its entries in pivot columns stay below those pivots instead of
+    growing from column to column.  A final pass reduces every pivot row
+    modulo the pivots after it.  No input checks: the rows must already
+    be integer tuples or lists of one length.
+    """
+    pivots: dict[int, list[int]] = {}
+    cols: list[int] = []
+    for row in rows:
+        r = list(row)
+        c = next((j for j, x in enumerate(r) if x), None)
+        while c is not None:
+            p = pivots.get(c)
+            if p is None:
+                if r[c] < 0:
+                    r = [-x for x in r]
+                pivots[c] = _reduce(r, c, pivots, cols)
+                insort(cols, c)
+                break
+            a, b = p[c], r[c]
+            if b % a:
+                g, s, t = _xgcd(a, b)
+                a, b = a // g, b // g
+                pivots[c] = _reduce([s * x + t * y for x, y in zip(p, r)], c, pivots, cols)
+                r = [a * y - b * x for x, y in zip(p, r)]
+            else:
+                q = b // a
+                r = [y - q * x for x, y in zip(p, r)]
+            r = _reduce(r, c, pivots, cols)
+            c = next((j for j in range(c + 1, len(r)) if r[j]), None)
+    for c in reversed(cols):
+        pivots[c] = _reduce(pivots[c], c, pivots, cols)
+    return tuple(tuple(pivots[c]) for c in cols)
+
+
+def _kernel(rows, width: int) -> tuple[Vector, ...]:
+    """integer_kernel without input checks.
+
+    The rows are first replaced by their HNF, which has at most ``width``
+    rows r.  The HNF of [A^T | I] then has exactly r rows that are nonzero
+    on the first block; the rows after them are (0, x) with A . x = 0, and
+    their tails are already the canonical basis of the kernel.
+    """
+    h = _hnf(rows)
+    r = len(h)
+    aug = [[v[j] for v in h] + [int(k == j) for k in range(width)] for j in range(width)]
+    return tuple(row[r:] for row in _hnf(aug)[r:])
+
+
+def _saturation(rows, width: int) -> tuple[Vector, ...]:
+    """saturation_basis without input checks: the kernel of the kernel."""
+    return _kernel(_kernel(rows, width), width)
+
+
+def _rows(vectors: Iterable[Sequence[int]], width: int) -> list[Vector]:
+    rows = [as_vector(v) for v in vectors]
+    for row in rows:
+        if len(row) != width:
+            raise LatticeError(f"vector of length {len(row)} inside Z^{width}")
+    return rows
+
+
 def hermite_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[Vector, ...]:
     """Canonical basis of the integer span of ``vectors`` inside Z^width.
 
@@ -120,40 +213,7 @@ def hermite_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[Vector,
     above each pivot reduced into [0, pivot), zero rows dropped.  Equal
     spans yield bit-equal results, so bases compare directly.
     """
-    rows = [list(as_vector(v)) for v in vectors]
-    for row in rows:
-        if len(row) != width:
-            raise LatticeError(f"vector of length {len(row)} inside Z^{width}")
-    rank = 0
-    for col in range(width):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0 and (
-                pivot is None or abs(rows[i][col]) < abs(rows[pivot][col])
-            ):
-                pivot = i
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        while True:
-            clear = True
-            for i in range(rank + 1, len(rows)):
-                if rows[i][col] != 0:
-                    q = rows[i][col] // rows[rank][col]
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[rank])]
-                    if rows[i][col] != 0:
-                        rows[rank], rows[i] = rows[i], rows[rank]
-                        clear = False
-            if clear:
-                break
-        if rows[rank][col] < 0:
-            rows[rank] = [-x for x in rows[rank]]
-        for i in range(rank):
-            q = rows[i][col] // rows[rank][col]
-            if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return tuple(tuple(row) for row in rows[:rank])
+    return _hnf(_rows(vectors, width))
 
 
 def rank_of(vectors: Iterable[Sequence[int]], width: int) -> int:
@@ -173,44 +233,12 @@ def integer_kernel(matrix, width: int | None = None) -> tuple[Vector, ...]:
         width = len(rows[0])
     elif rows and len(rows[0]) != width:
         raise LatticeError("matrix width disagrees with the requested kernel width")
-    m = len(rows)
-    aug = [
-        [rows[i][j] for i in range(m)] + [1 if k == j else 0 for k in range(width)]
-        for j in range(width)
-    ]
-    rank = 0
-    for col in range(m):
-        pivot = None
-        for i in range(rank, width):
-            if aug[i][col] != 0 and (
-                pivot is None or abs(aug[i][col]) < abs(aug[pivot][col])
-            ):
-                pivot = i
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        while True:
-            clear = True
-            for i in range(rank + 1, width):
-                if aug[i][col] != 0:
-                    q = aug[i][col] // aug[rank][col]
-                    aug[i] = [x - q * y for x, y in zip(aug[i], aug[rank])]
-                    if aug[i][col] != 0:
-                        aug[rank], aug[i] = aug[i], aug[rank]
-                        clear = False
-            if clear:
-                break
-        rank += 1
-    return hermite_basis([row[m:] for row in aug[rank:]], width)
+    return _kernel(rows, width)
 
 
 def saturation_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[Vector, ...]:
     """Canonical basis of (rational span of ``vectors``) intersected with Z^width."""
-    gens = hermite_basis(vectors, width)
-    if not gens:
-        return ()
-    annihilator = integer_kernel(gens, width)
-    return integer_kernel(annihilator, width)
+    return _saturation(_rows(vectors, width), width)
 
 
 class SignatureTriple(NamedTuple):
@@ -367,23 +395,41 @@ def discriminant(L: Lattice) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Sublattice:
-    """A finitely generated sublattice, stored on a canonical Hermite basis."""
+    """A finitely generated sublattice, stored on a canonical Hermite basis.
+
+    The public constructor validates and reduces its generators.
+    Sublattices the library builds itself (complements, saturations and
+    fixed lattices) are canonical by construction and are not checked
+    again.
+    """
 
     ambient: Lattice
     basis: tuple[Vector, ...]
 
     def __post_init__(self):
-        vecs = [as_vector(v) for v in self.basis]
-        canon = hermite_basis(vecs, self.ambient.rank)
+        vecs = _rows(self.basis, self.ambient.rank)
+        canon = _hnf(vecs)
         if len(canon) != len(vecs):
             raise LatticeError("sublattice generators are linearly dependent")
         object.__setattr__(self, "basis", canon)
+
+    @classmethod
+    def _trusted(cls, ambient: Lattice, basis: tuple[Vector, ...]) -> "Sublattice":
+        """A sublattice the library built itself: no validation.
+
+        ``basis`` must already be a canonical Hermite basis of independent
+        integer row tuples of length ``ambient.rank``.
+        """
+        s = object.__new__(cls)
+        object.__setattr__(s, "ambient", ambient)
+        object.__setattr__(s, "basis", basis)
+        return s
 
     @cached_property
     def saturated(self) -> bool:
         """Whether the integer span equals the intersection of the rational
         span with the ambient lattice; computed on first use."""
-        return self.basis == saturation_basis(self.basis, self.ambient.rank)
+        return self.basis == _saturation(self.basis, self.ambient.rank)
 
     @property
     def rank(self) -> int:
@@ -391,18 +437,15 @@ class Sublattice:
 
     def gram(self) -> Matrix:
         """Gram matrix of the ambient form restricted to the stored basis."""
-        return tuple(
-            tuple(pairing(self.ambient, u, v) for v in self.basis) for u in self.basis
-        )
+        b = self.basis
+        return mat_mul(b, mat_mul(self.ambient.gram, transpose(b)))
 
     def contains(self, v) -> bool:
         """Integral membership in the integer span."""
-        vec = as_vector(v)
-        return hermite_basis(self.basis + (vec,), self.ambient.rank) == self.basis
+        return _hnf([*self.basis, *_rows([v], self.ambient.rank)]) == self.basis
 
     def rational_span_contains(self, v) -> bool:
-        vec = as_vector(v)
-        return rank_of(self.basis + (vec,), self.ambient.rank) == self.rank
+        return len(_hnf([*self.basis, *_rows([v], self.ambient.rank)])) == self.rank
 
     def __eq__(self, other):
         if not isinstance(other, Sublattice):
@@ -431,20 +474,20 @@ def rational_span_leq(inner: Sublattice, outer: Sublattice) -> bool:
     """Whether the rational span of ``inner`` sits inside that of ``outer``."""
     if inner.ambient != outer.ambient:
         raise LatticeError("sublattices live in different lattices")
-    return rank_of(outer.basis + inner.basis, outer.ambient.rank) == outer.rank
+    return len(_hnf(outer.basis + inner.basis)) == outer.rank
 
 
 def orthogonal_complement(L: Lattice, s: Sublattice) -> Sublattice:
     """Everything in L orthogonal to ``s``; always saturated."""
     _check_sub(L, s)
-    conditions = tuple(mat_vec(L.gram, v) for v in s.basis)
-    return Sublattice(L, integer_kernel(conditions, L.rank))
+    # row i of B . G is G . b_i because G is symmetric
+    return Sublattice._trusted(L, _kernel(mat_mul(s.basis, L.gram), L.rank))
 
 
 def saturate(L: Lattice, s: Sublattice) -> Sublattice:
     """Primitive closure: (rational span of s) intersected with L."""
     _check_sub(L, s)
-    return Sublattice(L, saturation_basis(s.basis, L.rank))
+    return Sublattice._trusted(L, _saturation(s.basis, L.rank))
 
 
 def isometry_violation(L: Lattice, matrix) -> str | None:

@@ -13,16 +13,16 @@ from .core import (
     Matrix,
     SignatureTriple,
     Sublattice,
+    _hnf,
     _isometry_matrix,
+    _kernel,
     as_matrix,
     det,
     discriminant,
     identity_matrix,
-    integer_kernel,
     mat_mul,
     mat_vec,
     orthogonal_complement,
-    rank_of,
     rational_span_leq,
     sub_signature,
 )
@@ -103,7 +103,7 @@ def invariant_sublattice(G: IsometryGroup) -> Sublattice:
     for g in G.generators:
         for i in range(n):
             rows.append(tuple(g[i][j] - (1 if i == j else 0) for j in range(n)))
-    return Sublattice(G.ambient, integer_kernel(tuple(rows), n))
+    return Sublattice._trusted(G.ambient, _kernel(rows, n))
 
 
 def coinvariant_sublattice(G: IsometryGroup) -> Sublattice:
@@ -149,9 +149,7 @@ def verify_pair_properties(G: IsometryGroup) -> PairReport:
         raise LatticeError("ambient Gram matrix must be nondegenerate")
     inv = invariant_sublattice(G)
     co = orthogonal_complement(G.ambient, inv)
-    trivial = (
-        rank_of(inv.basis + co.basis, G.ambient.rank) == inv.rank + co.rank
-    )
+    trivial = len(_hnf(inv.basis + co.basis)) == inv.rank + co.rank
     return PairReport(inv, co, trivial, det(inv.gram()), det(co.gram()))
 
 

@@ -92,3 +92,75 @@ def abstract_matrix_closure(gens, n, cap):
                     fresh.append(c)
         frontier = fresh
     return elements
+
+
+def reference_hermite_basis(vectors, width):
+    """The column-by-column Euclid elimination that hermite_basis used
+    before the single echelon routine; a test-only reference.  Its
+    integers grow quickly on dense input, so keep the input small."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(width):
+        pivot = None
+        for i in range(rank, len(rows)):
+            if rows[i][col] != 0 and (
+                pivot is None or abs(rows[i][col]) < abs(rows[pivot][col])
+            ):
+                pivot = i
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        while True:
+            clear = True
+            for i in range(rank + 1, len(rows)):
+                if rows[i][col] != 0:
+                    q = rows[i][col] // rows[rank][col]
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[rank])]
+                    if rows[i][col] != 0:
+                        rows[rank], rows[i] = rows[i], rows[rank]
+                        clear = False
+            if clear:
+                break
+        if rows[rank][col] < 0:
+            rows[rank] = [-x for x in rows[rank]]
+        for i in range(rank):
+            q = rows[i][col] // rows[rank][col]
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return tuple(tuple(row) for row in rows[:rank])
+
+
+def reference_integer_kernel(rows, width):
+    """The elimination of [A^T | I] that integer_kernel used before the
+    single echelon routine, finished by reference_hermite_basis; a
+    test-only reference."""
+    m = len(rows)
+    aug = [
+        [rows[i][j] for i in range(m)] + [1 if k == j else 0 for k in range(width)]
+        for j in range(width)
+    ]
+    rank = 0
+    for col in range(m):
+        pivot = None
+        for i in range(rank, width):
+            if aug[i][col] != 0 and (
+                pivot is None or abs(aug[i][col]) < abs(aug[pivot][col])
+            ):
+                pivot = i
+        if pivot is None:
+            continue
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        while True:
+            clear = True
+            for i in range(rank + 1, width):
+                if aug[i][col] != 0:
+                    q = aug[i][col] // aug[rank][col]
+                    aug[i] = [x - q * y for x, y in zip(aug[i], aug[rank])]
+                    if aug[i][col] != 0:
+                        aug[rank], aug[i] = aug[i], aug[rank]
+                        clear = False
+            if clear:
+                break
+        rank += 1
+    return reference_hermite_basis([row[m:] for row in aug[rank:]], width)

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -299,6 +300,15 @@ class TestExitCodes:
         assert main(["solve-index", "2", "0", "30"]) == 2
         assert main(["solve-index", "2", "4", "0"]) == 2
 
+    def test_solve_index_argument_messages(self, capsys):
+        for argv, message in (
+            (["1", "4", "30"], "the number of points n must be an integer >= 2"),
+            (["2", "0", "30"], "d2 must be a nonzero integer"),
+            (["2", "4", "0"], "bound must be a positive integer"),
+        ):
+            got = _run(capsys, ["solve-index"] + argv)
+            assert got == {"exit": 2, "stdout": "", "stderr": f"error: {message}\n"}
+
     def test_argparse_rejects_non_integers(self):
         with pytest.raises(SystemExit) as exc:
             main(["solve-index", "two", "4", "30"])
@@ -421,3 +431,26 @@ class TestClosureErrors:
         with pytest.raises(LatticeError) as exc:
             closure(U, [[[0, 1], [1, 0]], SHEAR["matrix"]])
         assert str(exc.value) == NOT_ISOMETRY
+
+
+class TestBigIntegers:
+    """Integers keep every digit, beyond Python's default cap of 4300 on
+    int <-> str conversion, and the cap is restored when main returns."""
+
+    DIGITS = "7" * 5000
+
+    @pytest.mark.parametrize("form", ["number", "string"])
+    def test_report_prints_every_digit(self, tmp_path, capsys, form):
+        entry = self.DIGITS if form == "number" else f'"{self.DIGITS}"'
+        path = tmp_path / "ws.json"
+        path.write_text('{"lattices": {"big": {"gram": [[%s]]}}}' % entry, encoding="utf-8")
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for extra in ([], ["--json"]):
+                got = _run(capsys, ["report", "--workspace", str(path)] + extra)
+                assert got["exit"] == 0 and got["stderr"] == ""
+                assert self.DIGITS in got["stdout"]
+                assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(previous)

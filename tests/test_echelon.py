@@ -1,0 +1,372 @@
+"""The single echelon routine behind hermite_basis, integer_kernel and
+saturation_basis.
+
+Liveness cases that the earlier column-by-column elimination never
+finished, bit-equality with that elimination (kept in helpers.py as a
+reference) on small input, brute-force kernel checks, agreement with
+sympy's Hermite normal form, and counts showing that sublattices the
+library builds itself are not converted or checked again.
+"""
+
+import itertools
+import random
+import signal
+from contextlib import contextmanager
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    random_nondegenerate_lattice,
+    random_norm_pm2_vector,
+    random_sublattice,
+    reference_hermite_basis,
+    reference_integer_kernel,
+)
+from hilblat import (
+    Isometry,
+    Lattice,
+    LatticeError,
+    Sublattice,
+    closure,
+    coinvariant_sublattice,
+    det,
+    hermite_basis,
+    integer_kernel,
+    invariant_sublattice,
+    k3_lattice,
+    orthogonal_complement,
+    pairing,
+    rank_of,
+    rational_span_leq,
+    reflection_isometry,
+    saturate,
+    saturation_basis,
+    signature,
+    verify_pair_properties,
+)
+from hilblat import core, groups
+
+K3 = k3_lattice()
+
+# Seeded and database-free, so every run tries the same examples.
+exact = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+
+@contextmanager
+def deadline(seconds=10):
+    """Fail a case that is still running after ``seconds`` of wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def dense(seed, rows, width, lo, hi):
+    rng = random.Random(seed)
+    return [[rng.randint(lo, hi) for _ in range(width)] for _ in range(rows)]
+
+
+DENSE_12 = dense(12, 12, 12, -10, 10)
+SIGNS_23 = dense(23, 23, 23, -1, 1)
+KERNEL_6x12 = dense(6, 6, 12, -10, 10)
+# A dense rank-4 block of K3 whose rank-18 complement has small entries.
+RANK_4_BLOCK = (
+    (-3, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, -1, 0, 0, 0, -2, 1),
+    (0, 0, 0, 2, 0, 0, 0, 0, 3, 0, -2, 0, 0, 0, 0, 0, 0, 0, 0, -3, 0, -2),
+    (0, 0, 0, 0, 0, 0, 0, 2, 0, 0, -3, 0, 0, 0, 0, 0, 0, 0, -2, 0, 2, 0),
+    (0, 0, 0, -2, 0, 0, 0, 0, -2, 0, -2, 0, 0, 0, 0, 0, -3, 0, 3, 0, 0, 0),
+)
+
+
+def nikulin_generic_marking():
+    """The Nikulin involution swapping the two E8(-1) summands of K3,
+    conjugated by 12 reflections in roots that mix summands."""
+    swap = list(range(22))
+    for i in range(8):
+        swap[6 + i], swap[14 + i] = 14 + i, 6 + i
+    nikulin = Isometry(K3, tuple(tuple(int(swap[j] == i) for j in range(22)) for i in range(22)))
+    rng = random.Random(1)
+    reflections = [
+        reflection_isometry(K3, random_norm_pm2_vector(K3, rng, max_entry=2, max_support=4))
+        for _ in range(12)
+    ]
+    p = p_inv = Isometry(K3, tuple(tuple(int(i == j) for j in range(22)) for i in range(22)))
+    for r in reflections:
+        p, p_inv = p * r, r * p_inv
+    return p * nikulin * p_inv
+
+
+def max_bits(rows):
+    return max((abs(x).bit_length() for row in rows for x in row), default=0)
+
+
+def is_hermite(rows, width):
+    """Echelon shape, positive pivots, entries above a pivot in [0, pivot)."""
+    pivots = []
+    for row in rows:
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None or (pivots and lead <= pivots[-1]) or row[lead] < 0:
+            return False
+        pivots.append(lead)
+    return all(
+        0 <= rows[i][c] < rows[k][c] for k, c in enumerate(pivots) for i in range(k)
+    ) and all(len(row) == width for row in rows)
+
+
+class TestLiveness:
+    """Each case overran 10 s with the earlier elimination."""
+
+    def test_dense_12x12_hermite(self):
+        with deadline():
+            h = hermite_basis(DENSE_12, 12)
+        assert len(h) == 12 and is_hermite(h, 12)
+        assert abs(det(h)) == abs(det(DENSE_12))
+
+    def test_signs_23x23_hermite(self):
+        with deadline():
+            h = hermite_basis(SIGNS_23, 23)
+        assert len(h) == 23 and is_hermite(h, 23)
+        assert abs(det(h)) == abs(det(SIGNS_23))
+
+    def test_dense_6x12_kernel(self):
+        with deadline():
+            ker = integer_kernel(KERNEL_6x12, 12)
+        assert len(ker) == 6 and is_hermite(ker, 12)
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in KERNEL_6x12 for v in ker)
+
+    def test_dense_rank_4_complement(self):
+        S = Sublattice(K3, RANK_4_BLOCK)
+        with deadline():
+            comp = orthogonal_complement(K3, S)
+            double = orthogonal_complement(K3, comp)
+            assert comp.saturated and double == saturate(K3, S)
+        assert comp.rank == 18 and max_bits(comp.basis) <= 6
+        assert all(pairing(K3, u, v) == 0 for u in comp.basis for v in S.basis)
+
+    def test_nikulin_in_a_generic_marking(self):
+        g = nikulin_generic_marking()
+        with deadline():
+            G = closure(K3, [g])
+            inv = invariant_sublattice(G)
+            co = coinvariant_sublattice(G)
+        assert G.order == 2
+        assert (inv.rank, det(inv.gram())) == (14, -256)
+        co_gram = co.gram()
+        assert (co.rank, det(co_gram)) == (8, 256)
+        assert signature(Lattice.from_gram(co_gram)) == (0, 0, 8)
+        # Half the form is even, unimodular and negative definite of rank 8,
+        # which is E8(-1) up to isometry: the coinvariant lattice is E8(-2).
+        half = tuple(tuple(x // 2 for x in row) for row in co_gram)
+        assert all(x % 2 == 0 for row in co_gram for x in row)
+        assert all(half[i][i] % 2 == 0 for i in range(8)) and det(half) == 1
+
+
+rows_7 = st.integers(0, 7).flatmap(
+    lambda width: st.tuples(
+        st.just(width),
+        st.lists(
+            st.one_of(
+                st.lists(st.integers(-6, 6), min_size=width, max_size=width),
+                st.just([0] * width),
+            ),
+            max_size=8,
+        ),
+    )
+)
+
+
+def rank_deficient(width_and_rows):
+    """Append an integer combination of the rows, so the rank drops."""
+    width, rows = width_and_rows
+    if len(rows) < 2:
+        return width, rows
+    combo = [2 * x - 3 * y for x, y in zip(rows[0], rows[-1])]
+    return width, rows + [combo]
+
+
+matrices = st.one_of(rows_7, rows_7.map(rank_deficient))
+
+
+def maximal_minors_gcd(rows):
+    """gcd of the k x k minors of a k x n matrix; 1 iff its rows span a
+    saturated lattice (of rank k)."""
+    k, n = len(rows), len(rows[0]) if rows else 0
+    g = 0
+    for cols in itertools.combinations(range(n), k):
+        g = gcd(g, det(tuple(tuple(row[c] for c in cols) for row in rows)))
+    return g
+
+
+class TestAgainstReference:
+    @exact
+    @given(matrices)
+    def test_hermite_basis_bit_equal(self, case):
+        width, rows = case
+        assert hermite_basis(rows, width) == reference_hermite_basis(rows, width)
+
+    @exact
+    @given(matrices)
+    def test_integer_kernel_bit_equal(self, case):
+        width, rows = case
+        assert integer_kernel(rows, width) == reference_integer_kernel(rows, width)
+
+    @exact
+    @given(matrices)
+    def test_saturation_basis_bit_equal(self, case):
+        width, rows = case
+        gens = reference_hermite_basis(rows, width)
+        expected = (
+            reference_integer_kernel(reference_integer_kernel(gens, width), width)
+            if gens
+            else ()
+        )
+        assert saturation_basis(rows, width) == expected
+
+    def test_empty_input(self):
+        assert hermite_basis([], 3) == ()
+        assert integer_kernel([], 2) == ((1, 0), (0, 1))
+        assert saturation_basis([], 3) == ()
+        assert hermite_basis([], 0) == integer_kernel([[]]) == ()
+
+
+class TestKernelByBruteForce:
+    @exact
+    @given(matrices)
+    def test_kernel_laws(self, case):
+        width, rows = case
+        ker = integer_kernel(rows, width)
+        for v in ker:
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+        assert len(ker) == width - len(reference_hermite_basis(rows, width))
+        if ker:
+            assert maximal_minors_gcd(ker) == 1
+        assert is_hermite(ker, width)
+
+
+class TestAgainstSympy:
+    @pytest.mark.parametrize("rows", [DENSE_12, SIGNS_23], ids=["dense-12", "signs-23"])
+    def test_same_lattice(self, rows):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import hermite_normal_form
+
+        n = len(rows)
+        ours = sympy.Matrix(hermite_basis(rows, n)).T  # basis vectors as columns
+        theirs = hermite_normal_form(sympy.Matrix(rows).T)
+        assert ours.shape == theirs.shape == (n, n)
+        # Each basis lies in the integer span of the other.
+        for a, b in ((ours, theirs), (theirs, ours)):
+            coeffs = b.solve(a)
+            assert all(x.is_integer for x in coeffs)
+
+
+class TestGramFromOneProduct:
+    def test_equals_pairings(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            L = random_nondegenerate_lattice(rng, max_rank=6)
+            S = random_sublattice(L, rng)
+            expected = tuple(tuple(pairing(L, u, v) for v in S.basis) for u in S.basis)
+            assert S.gram() == expected
+            assert all(type(x) is int for row in S.gram() for x in row)
+
+    def test_rank_zero(self):
+        assert Sublattice(K3, ()).gram() == ()
+        empty = Lattice.from_gram([])
+        assert Sublattice(empty, ()).gram() == ()
+
+
+def count_conversions(monkeypatch):
+    """Wrap as_vector and as_matrix wherever hilblat binds them; the
+    returned dict counts their calls from now on."""
+    counts = {"as_vector": 0, "as_matrix": 0}
+
+    def counted(name):
+        original = getattr(core, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        wrapper = counted(name)
+        for module in (core, groups):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+class TestValidationAtTheBoundary:
+    """Internal callers work on rows the library built itself: once their
+    arguments exist, they convert nothing through as_vector or as_matrix."""
+
+    def test_internal_callers_convert_nothing(self, monkeypatch):
+        rng = random.Random(4)
+        L = random_nondegenerate_lattice(rng, min_rank=4, max_rank=6)
+        S = random_sublattice(L, rng)
+        T = random_sublattice(L, rng)
+        G = closure(K3, [nikulin_generic_marking()])
+        counts = count_conversions(monkeypatch)
+        comp = orthogonal_complement(L, S)
+        sat = saturate(L, S)
+        assert S.saturated in (True, False)
+        rational_span_leq(S, T)
+        inv = invariant_sublattice(G)
+        coinvariant_sublattice(G)
+        verify_pair_properties(G)
+        comp.gram(), sat.gram(), inv.gram()
+        assert counts == {"as_vector": 0, "as_matrix": 0}
+
+    def test_public_entry_points_still_convert(self, monkeypatch):
+        counts = count_conversions(monkeypatch)
+        hermite_basis([(1, 2)], 2)
+        rank_of([(1, 2)], 2)
+        saturation_basis([(2, 4)], 2)
+        Sublattice(K3, [(1,) + (0,) * 21])
+        assert counts == {"as_vector": 4, "as_matrix": 0}
+        integer_kernel([[1, 1]])
+        assert counts == {"as_vector": 4, "as_matrix": 1}
+
+    def test_membership_checks_the_vector(self):
+        S = Sublattice(K3, [(1,) + (0,) * 21])
+        for method in (S.contains, S.rational_span_contains):
+            with pytest.raises(LatticeError, match=r"^integer entry expected, got 1\.0$"):
+                method((1.0,) + (0,) * 21)
+            with pytest.raises(LatticeError, match=r"^vector of length 2 inside Z\^22$"):
+                method((1, 0))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: hermite_basis([(1, True)], 2), "integer entry expected, got True"),
+            (lambda: rank_of([(1.5, 0)], 2), "integer entry expected, got 1.5"),
+            (lambda: saturation_basis([(1, 0, 0)], 2), "vector of length 3 inside Z^2"),
+            (lambda: integer_kernel([[1, 0], [1]]), "matrix rows have unequal lengths"),
+            (lambda: integer_kernel([]), "kernel of an empty matrix needs an explicit width"),
+            (
+                lambda: integer_kernel([[1, 0]], 3),
+                "matrix width disagrees with the requested kernel width",
+            ),
+            (lambda: Sublattice(K3, [(1,) * 21]), "vector of length 21 inside Z^22"),
+            (
+                lambda: Sublattice(K3, [(1,) * 22, (2,) * 22]),
+                "sublattice generators are linearly dependent",
+            ),
+        ],
+        ids=["bool", "float", "width", "ragged", "empty", "kernel-width", "sub-width", "dependent"],
+    )
+    def test_public_entry_points_reject_bad_input(self, call, message):
+        with pytest.raises(LatticeError) as exc:
+            call()
+        assert str(exc.value) == message
