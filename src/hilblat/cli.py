@@ -1,16 +1,23 @@
 """Deterministic command-line front end.
 
-Reports go to standard out, diagnostics to standard error.  Exit codes:
-0 on success, 2 on input or parse errors, 3 on mathematical precondition
-failures.  Identical inputs produce byte-identical reports.
+Each command builds one JSON payload.  ``--json`` prints it; otherwise
+``_text`` renders it, one line form per payload key, so the two outputs
+carry the same facts.  Reports go to standard out, diagnostics to
+standard error.  Identical inputs produce byte-identical reports.
+
+Exit codes: 0 on success, 2 on input or parse errors (argument, file,
+encoding, JSON or workspace structure), 3 on mathematical precondition
+failures.  A standard out closed by its reader (``hilblat ... | head``)
+also exits 0, silently: the computation succeeded, and what is lost is
+output the reader chose not to read.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from fractions import Fraction
 
 from .core import (
     Isometry,
@@ -41,36 +48,20 @@ from .groups import (
 from .workspace import Workspace, WorkspaceError, load_workspace
 
 
-def fmt_frac(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def fmt_vec(v) -> str:
     return "(" + ", ".join(str(x) for x in v) + ")"
 
 
-def fmt_sig(sig) -> str:
-    return f"({sig.pos}, {sig.zero}, {sig.neg})"
-
-
-def _yesno(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
-def _passfail(flag: bool) -> str:
-    return "pass" if flag else "fail"
-
-
-def _named_sublattice(ws: Workspace, lattice_name: str, sub_name: str) -> Sublattice:
+def _named_sublattice(
+    ws: Workspace, lattice_name: str, sub_name: str
+) -> tuple[Lattice, Sublattice]:
+    L = ws.lattice(lattice_name)
     entry = ws.sublattice(sub_name)
     if entry.lattice != lattice_name:
         raise WorkspaceError(
             f"sublattice {sub_name!r} lives in {entry.lattice!r}, not {lattice_name!r}"
         )
-    return Sublattice(ws.lattice(lattice_name), entry.columns)
+    return L, Sublattice(L, entry.columns)
 
 
 def _named_isometry_matrix(ws: Workspace, lattice_name: str, iso_name: str):
@@ -82,69 +73,6 @@ def _named_isometry_matrix(ws: Workspace, lattice_name: str, iso_name: str):
     return entry.matrix
 
 
-def cmd_signature(ws: Workspace, args):
-    L = ws.lattice(args.lattice)
-    sig = signature(L)
-    lines = [f"signature: {fmt_sig(sig)}"]
-    payload = {
-        "command": "signature",
-        "lattice": args.lattice,
-        "signature": list(sig),
-    }
-    return lines, payload
-
-
-def cmd_complement(ws: Workspace, args):
-    L = ws.lattice(args.lattice)
-    sub = _named_sublattice(ws, args.lattice, args.sublattice)
-    comp = orthogonal_complement(L, sub)
-    lines = [f"rank: {comp.rank}"]
-    lines += [f"basis: {fmt_vec(v)}" for v in comp.basis]
-    payload = {
-        "command": "complement",
-        "lattice": args.lattice,
-        "sublattice": args.sublattice,
-        "rank": comp.rank,
-        "basis": [list(v) for v in comp.basis],
-    }
-    return lines, payload
-
-
-def cmd_isometry_check(ws: Workspace, args):
-    L = ws.lattice(args.lattice)
-    matrix = _named_isometry_matrix(ws, args.lattice, args.isometry)
-    violation = isometry_violation(L, matrix)
-    if violation is None:
-        lines = ["ISOMETRY"]
-    else:
-        lines = ["NOT-ISOMETRY", f"violation: {violation}"]
-    payload = {
-        "command": "isometry-check",
-        "lattice": args.lattice,
-        "isometry": args.isometry,
-        "is_isometry": violation is None,
-        "violation": violation,
-    }
-    return lines, payload
-
-
-def _index_body(target: ExceptionalPair, f: Isometry):
-    lam = index_invariant(target, f)
-    dec = pullback_decomposition(target, f)
-    lines = [f"lambda = {fmt_frac(lam)}", f"d = {fmt_vec(dec.d)}"]
-    return lines, {"lambda": fmt_frac(lam), "d": [int(x) for x in dec.d]}
-
-
-def _not_natural_body(target: ExceptionalPair, f: Isometry):
-    """The image of the moved class: delta on a Douady lattice, e otherwise."""
-    if isinstance(target, DouadyLattice):
-        moved, image = "delta", f.apply(target.delta)
-    else:
-        moved, image = "e", f.apply(target.e)
-    lines = ["NOT-NATURAL", f"f({moved}) = {fmt_vec(image)}"]
-    return lines, {"moved_class": moved, "image": [int(x) for x in image]}
-
-
 def _named_isometry(ws: Workspace, args) -> tuple[ExceptionalPair, Isometry]:
     """The lattice and the isometry named on the command line; the matrix
     is checked once, here."""
@@ -153,258 +81,296 @@ def _named_isometry(ws: Workspace, args) -> tuple[ExceptionalPair, Isometry]:
     return target, Isometry(target.lattice, matrix)
 
 
-def cmd_index(ws: Workspace, args):
-    target, f = _named_isometry(ws, args)
-    lines, body = _index_body(target, f)
-    payload = {
-        "command": "index",
-        "lattice": args.lattice,
-        "isometry": args.isometry,
-        **body,
-    }
-    return lines, payload
+def _index_body(target: ExceptionalPair, f: Isometry) -> dict:
+    lam = index_invariant(target, f)  # a Fraction: prints as "p/q", or "p" when whole
+    dec = pullback_decomposition(target, f)
+    return {"lambda": str(lam), "d": [int(x) for x in dec.d]}
 
 
-def cmd_natural_check(ws: Workspace, args):
-    target, f = _named_isometry(ws, args)
-    payload = {
-        "command": "natural-check",
-        "lattice": args.lattice,
-        "isometry": args.isometry,
-        "natural": is_natural_on_lattice(target, f),
-    }
-    if payload["natural"]:
-        phi = extract_surface_isometry(target, f)
-        lines = ["NATURAL"]
-        lines += [f"surface: {fmt_vec(row)}" for row in phi.matrix]
-        payload["surface_block"] = [list(row) for row in phi.matrix]
+def _moved_class(target: ExceptionalPair, f: Isometry) -> dict:
+    """The image of the moved class: delta on a Douady lattice, e otherwise."""
+    if isinstance(target, DouadyLattice):
+        moved, image = "delta", f.apply(target.delta)
     else:
-        lines, body = _not_natural_body(target, f)
-        payload.update(body)
-    return lines, payload
+        moved, image = "e", f.apply(target.e)
+    return {"moved_class": moved, "image": [int(x) for x in image]}
 
 
-def _group_body(ws: Workspace, name: str):
+def _group_body(ws: Workspace, name: str) -> dict:
     entry = ws.group(name)
     L = ws.lattice(entry.lattice)
     gens = [ws.isometry(g).matrix for g in entry.generators]
     G = closure(L, gens, cap=entry.cap)
     rep = verify_pair_properties(G)
-    lines = [f"order: {G.order}"]
-    blocks = []
-    for label, sub, gram_det, nondeg in (
-        ("invariant", rep.invariant, rep.invariant_gram_det, rep.invariant_nondegenerate),
-        ("coinvariant", rep.coinvariant, rep.coinvariant_gram_det, rep.coinvariant_nondegenerate),
-    ):
-        negdef = is_negative_definite(sub)
-        lines.append(f"{label} rank: {sub.rank}")
-        lines += [f"{label} basis: {fmt_vec(v)}" for v in sub.basis]
-        lines.append(f"{label} gram det: {gram_det}")
-        lines.append(f"{label} negative definite: {_yesno(negdef)}")
-        blocks.append(
-            {
-                "rank": sub.rank,
-                "basis": [list(v) for v in sub.basis],
-                "gram_det": gram_det,
-                "negative_definite": negdef,
-                "nondegenerate": nondeg,
-            }
-        )
-    lines.append(f"intersection trivial: {_passfail(rep.intersection_trivial)}")
-    lines.append(f"invariant form nondegenerate: {_passfail(rep.invariant_nondegenerate)}")
-    lines.append(f"coinvariant form nondegenerate: {_passfail(rep.coinvariant_nondegenerate)}")
-    payload = {
+
+    def block(sub: Sublattice, gram_det: int, nondegenerate: bool) -> dict:
+        return {
+            "rank": sub.rank,
+            "basis": [list(v) for v in sub.basis],
+            "gram_det": gram_det,
+            "negative_definite": is_negative_definite(sub),
+            "nondegenerate": nondegenerate,
+        }
+
+    return {
         "order": G.order,
-        "invariant": blocks[0],
-        "coinvariant": blocks[1],
+        "invariant": block(
+            rep.invariant, rep.invariant_gram_det, rep.invariant_nondegenerate
+        ),
+        "coinvariant": block(
+            rep.coinvariant, rep.coinvariant_gram_det, rep.coinvariant_nondegenerate
+        ),
         "checks": {
             "intersection_trivial": rep.intersection_trivial,
             "invariant_nondegenerate": rep.invariant_nondegenerate,
             "coinvariant_nondegenerate": rep.coinvariant_nondegenerate,
         },
     }
-    return lines, payload
 
 
-def cmd_invariant(ws: Workspace, args):
-    lines, payload = _group_body(ws, args.group)
-    payload = {"command": "invariant", "group": args.group, **payload}
-    return lines, payload
-
-
-def _classification_body(L: Lattice, sub: Sublattice):
+def _classification(L: Lattice, sub: Sublattice) -> dict:
     cls = ns_classification(L, sub)
-    lines = [
-        f"type: {cls.ns_type.value}",
-        f"NS signature: {fmt_sig(cls.ns_signature)}",
-        f"Tr signature: {fmt_sig(cls.tr_signature)}",
-        f"companion pattern: {'ok' if cls.companion_ok else 'mismatch'}",
-    ]
-    payload = {
+    return {
         "type": cls.ns_type.value,
         "ns_signature": list(cls.ns_signature),
         "tr_signature": list(cls.tr_signature),
         "expected_tr_signature": list(cls.expected_tr_signature),
         "companion_ok": cls.companion_ok,
     }
-    return lines, payload
 
 
-def cmd_classify(ws: Workspace, args):
-    L = ws.lattice(args.lattice)
-    sub = _named_sublattice(ws, args.lattice, args.sublattice)
-    lines, payload = _classification_body(L, sub)
-    payload = {
-        "command": "classify",
+def cmd_signature(ws: Workspace, args) -> dict:
+    return {"lattice": args.lattice, "signature": list(signature(ws.lattice(args.lattice)))}
+
+
+def cmd_complement(ws: Workspace, args) -> dict:
+    L, sub = _named_sublattice(ws, args.lattice, args.sublattice)
+    comp = orthogonal_complement(L, sub)
+    return {
         "lattice": args.lattice,
         "sublattice": args.sublattice,
-        **payload,
+        "rank": comp.rank,
+        "basis": [list(v) for v in comp.basis],
     }
-    return lines, payload
 
 
-def cmd_solve_index(ws: Workspace, args):
+def cmd_isometry_check(ws: Workspace, args) -> dict:
+    L = ws.lattice(args.lattice)
+    matrix = _named_isometry_matrix(ws, args.lattice, args.isometry)
+    violation = isometry_violation(L, matrix)
+    return {
+        "lattice": args.lattice,
+        "isometry": args.isometry,
+        "is_isometry": violation is None,
+        "violation": violation,
+    }
+
+
+def cmd_index(ws: Workspace, args) -> dict:
+    target, f = _named_isometry(ws, args)
+    return {"lattice": args.lattice, "isometry": args.isometry, **_index_body(target, f)}
+
+
+def cmd_natural_check(ws: Workspace, args) -> dict:
+    target, f = _named_isometry(ws, args)
+    payload = {
+        "lattice": args.lattice,
+        "isometry": args.isometry,
+        "natural": is_natural_on_lattice(target, f),
+    }
+    if payload["natural"]:
+        phi = extract_surface_isometry(target, f)
+        payload["surface_block"] = [list(row) for row in phi.matrix]
+    else:
+        payload.update(_moved_class(target, f))
+    return payload
+
+
+def cmd_invariant(ws: Workspace, args) -> dict:
+    return {"group": args.group, **_group_body(ws, args.group)}
+
+
+def cmd_classify(ws: Workspace, args) -> dict:
+    L, sub = _named_sublattice(ws, args.lattice, args.sublattice)
+    return {
+        "lattice": args.lattice,
+        "sublattice": args.sublattice,
+        **_classification(L, sub),
+    }
+
+
+def cmd_solve_index(ws: Workspace, args) -> dict:
     try:
         solutions = index_norm_solutions(args.n, args.d2, args.bound)
     except LatticeError as exc:  # a bad command-line argument: usage error
         raise WorkspaceError(str(exc)) from None
-    lines = [
-        f"n = {args.n}, d2 = {args.d2}, bound = {args.bound}",
-        f"solutions: {len(solutions)}",
-    ]
-    lines += [fmt_vec(pair) for pair in solutions]
-    payload = {
-        "command": "solve-index",
+    return {
         "n": args.n,
         "d2": args.d2,
         "bound": args.bound,
         "solutions": [list(pair) for pair in solutions],
     }
-    return lines, payload
 
 
-def _report_lattice(ws: Workspace, name: str):
+def _report_lattice(ws: Workspace, name: str) -> dict:
     entry = ws.entry(name)
     L = ws.lattice(name)
-    lines = [f"== lattice {name} =="]
-    item = {"kind": "lattice", "name": name}
-    sig = signature(L)
-    disc = discriminant(L)
-    lines.append(f"signature: {fmt_sig(sig)}")
-    lines.append(f"discriminant: {disc}")
-    item["signature"] = list(sig)
-    item["discriminant"] = disc
+    item = {"signature": list(signature(L)), "discriminant": discriminant(L)}
     if isinstance(entry, ExceptionalPair):
-        qe = norm(L, entry.e)
-        lines.append(f"q(e) = {qe}")
-        item["q_e"] = qe
-        if isinstance(entry, DouadyLattice):
-            qd = norm(L, entry.delta)
-            lines.append(f"q(delta) = {qd}")
-            item["q_delta"] = qd
-    return lines, item
+        item["q_e"] = norm(L, entry.e)
+    if isinstance(entry, DouadyLattice):
+        item["q_delta"] = norm(L, entry.delta)
+    return item
 
 
-def _report_sublattice(ws: Workspace, name: str):
+def _report_vector(ws: Workspace, name: str) -> dict:
+    entry = ws.vector(name)
+    return {"lattice": entry.lattice, "q": norm(ws.lattice(entry.lattice), entry.coords)}
+
+
+def _report_sublattice(ws: Workspace, name: str) -> dict:
     entry = ws.sublattice(name)
     L = ws.lattice(entry.lattice)
-    lines = [f"== sublattice {name} (in {entry.lattice}) =="]
-    item = {"kind": "sublattice", "name": name, "lattice": entry.lattice}
     try:
         sub = Sublattice(L, entry.columns)
     except LatticeError as exc:
-        lines.append(f"error: {exc}")
-        item["error"] = str(exc)
-        return lines, item
-    lines.append(f"rank: {sub.rank}")
-    lines.append(f"saturated: {_yesno(sub.saturated)}")
-    item["rank"] = sub.rank
-    item["saturated"] = sub.saturated
+        return {"lattice": entry.lattice, "error": str(exc)}
+    item = {"lattice": entry.lattice, "rank": sub.rank, "saturated": sub.saturated}
     try:
-        cls_lines, cls_payload = _classification_body(L, sub)
-        lines += cls_lines
-        item.update(cls_payload)
+        item.update(_classification(L, sub))
     except LatticeError as exc:
-        lines.append(f"classification error: {exc}")
         item["classification_error"] = str(exc)
     comp = orthogonal_complement(L, sub)
-    lines.append(f"complement rank: {comp.rank}")
-    lines += [f"complement basis: {fmt_vec(v)}" for v in comp.basis]
     item["complement_rank"] = comp.rank
     item["complement_basis"] = [list(v) for v in comp.basis]
-    return lines, item
+    return item
 
 
-def _report_isometry(ws: Workspace, name: str):
+def _report_isometry(ws: Workspace, name: str) -> dict:
     entry = ws.isometry(name)
     L = ws.lattice(entry.lattice)
-    lines = [f"== isometry {name} (on {entry.lattice}) =="]
-    item = {"kind": "isometry", "name": name, "lattice": entry.lattice}
     violation = isometry_violation(L, entry.matrix)
-    item["is_isometry"] = violation is None
+    item = {"lattice": entry.lattice, "is_isometry": violation is None}
     if violation is not None:
-        lines += ["NOT-ISOMETRY", f"violation: {violation}"]
         item["violation"] = violation
-        return lines, item
-    lines.append("ISOMETRY")
+        return item
     target = ws.entry(entry.lattice)
     if isinstance(target, ExceptionalPair):
         f = Isometry._trusted(L, entry.matrix)  # checked just above
-        part, body = _index_body(target, f)
-        lines += part
-        item.update(body)
-        item["natural"] = is_natural_on_lattice(target, f)
-        if item["natural"]:
-            lines.append("NATURAL")
-        else:
-            part, body = _not_natural_body(target, f)
-            lines += part
-            item.update(body)
-    return lines, item
+        item.update(_index_body(target, f), natural=is_natural_on_lattice(target, f))
+        if not item["natural"]:
+            item.update(_moved_class(target, f))
+    return item
 
 
-def _report_group(ws: Workspace, name: str):
+def _report_group(ws: Workspace, name: str) -> dict:
     entry = ws.group(name)
-    lines = [f"== group {name} (on {entry.lattice}) =="]
-    item = {"kind": "group", "name": name, "lattice": entry.lattice}
     try:
-        body_lines, payload = _group_body(ws, name)
-        lines += body_lines
-        item.update(payload)
+        return {"lattice": entry.lattice, **_group_body(ws, name)}
     except LatticeError as exc:
-        lines.append(f"error: {exc}")
-        item["error"] = str(exc)
-    return lines, item
+        return {"lattice": entry.lattice, "error": str(exc)}
 
 
-def cmd_report(ws: Workspace, args):
+# (kind, Workspace section, item builder), in report order.
+_REPORT = (
+    ("lattice", "lattices", _report_lattice),
+    ("vector", "vectors", _report_vector),
+    ("sublattice", "sublattices", _report_sublattice),
+    ("isometry", "isometries", _report_isometry),
+    ("group", "groups", _report_group),
+)
+
+
+def cmd_report(ws: Workspace, args) -> dict:
+    return {
+        "items": [
+            {"kind": kind, "name": name, **build(ws, name)}
+            for kind, section, build in _REPORT
+            for name in sorted(getattr(ws, section))
+        ]
+    }
+
+
+def _header(kind: str, item: dict) -> str:
+    if "lattice" not in item:
+        return f"== {kind} {item['name']} =="
+    where = "in" if kind in ("vector", "sublattice") else "on"
+    return f"== {kind} {item['name']} ({where} {item['lattice']}) =="
+
+
+def _each(template: str):
+    """One line per row of a list of vectors."""
+    return lambda rows, payload: [template.format(fmt_vec(row)) for row in rows]
+
+
+def _block(prefix: str):
+    """A nested payload, each of its lines under a label."""
+    return lambda block, payload: [prefix + line for line in _text(block)]
+
+
+# The text form of each payload key, in output order.  A string is a
+# template for the value (a list prints as a vector), a triple is a
+# template and its words for True and False, a callable gets the value
+# and the whole payload.  Keys absent here are JSON-only: the names,
+# "moved_class", "d2" and "bound" (read by the forms of "image" and "n"),
+# "expected_tr_signature" and "nondegenerate".  A None value prints
+# nothing.
+_TEXT = (
+    ("kind", _header),
+    ("error", "error: {}"),
+    ("n", lambda n, p: f"n = {n}, d2 = {p['d2']}, bound = {p['bound']}"),
+    ("solutions", lambda s, p: [f"solutions: {len(s)}"] + [fmt_vec(x) for x in s]),
+    ("signature", "signature: {}"),
+    ("discriminant", "discriminant: {}"),
+    ("q_e", "q(e) = {}"),
+    ("q_delta", "q(delta) = {}"),
+    ("q", "q = {}"),
+    ("order", "order: {}"),
+    ("rank", "rank: {}"),
+    ("basis", _each("basis: {}")),
+    ("gram_det", "gram det: {}"),
+    ("negative_definite", ("negative definite: {}", "yes", "no")),
+    ("invariant", _block("invariant ")),
+    ("coinvariant", _block("coinvariant ")),
+    ("checks", _block("")),
+    ("intersection_trivial", ("intersection trivial: {}", "pass", "fail")),
+    ("invariant_nondegenerate", ("invariant form nondegenerate: {}", "pass", "fail")),
+    ("coinvariant_nondegenerate", ("coinvariant form nondegenerate: {}", "pass", "fail")),
+    ("saturated", ("saturated: {}", "yes", "no")),
+    ("type", "type: {}"),
+    ("ns_signature", "NS signature: {}"),
+    ("tr_signature", "Tr signature: {}"),
+    ("companion_ok", ("companion pattern: {}", "ok", "mismatch")),
+    ("classification_error", "classification error: {}"),
+    ("complement_rank", "complement rank: {}"),
+    ("complement_basis", _each("complement basis: {}")),
+    ("is_isometry", ("{}", "ISOMETRY", "NOT-ISOMETRY")),
+    ("violation", "violation: {}"),
+    ("lambda", "lambda = {}"),
+    ("d", "d = {}"),
+    ("natural", ("{}", "NATURAL", "NOT-NATURAL")),
+    ("surface_block", _each("surface: {}")),
+    ("image", lambda image, p: f"f({p['moved_class']}) = {fmt_vec(image)}"),
+    ("items", lambda items, p: [line for item in items for line in _text(item)]),
+)
+
+
+def _text(payload: dict) -> list[str]:
+    """The text lines of a payload."""
     lines: list[str] = []
-    items: list[dict] = []
-    for name in sorted(ws.lattices):
-        part, item = _report_lattice(ws, name)
-        lines += part
-        items.append(item)
-    for name in sorted(ws.vectors):
-        entry = ws.vector(name)
-        L = ws.lattice(entry.lattice)
-        q = norm(L, entry.coords)
-        lines += [f"== vector {name} (in {entry.lattice}) ==", f"q = {q}"]
-        items.append(
-            {"kind": "vector", "name": name, "lattice": entry.lattice, "q": q}
-        )
-    for name in sorted(ws.sublattices):
-        part, item = _report_sublattice(ws, name)
-        lines += part
-        items.append(item)
-    for name in sorted(ws.isometries):
-        part, item = _report_isometry(ws, name)
-        lines += part
-        items.append(item)
-    for name in sorted(ws.groups):
-        part, item = _report_group(ws, name)
-        lines += part
-        items.append(item)
-    return lines, {"command": "report", "items": items}
+    for key, form in _TEXT:
+        value = payload.get(key)
+        if value is None:
+            continue
+        if isinstance(form, tuple):
+            template, yes, no = form
+            lines.append(template.format(yes if value else no))
+        elif isinstance(form, str):
+            lines.append(form.format(fmt_vec(value) if isinstance(value, list) else value))
+        else:
+            out = form(value, payload)
+            lines += [out] if isinstance(out, str) else out
+    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,7 +464,7 @@ def _main(argv) -> int:
     args = parser.parse_args(argv)
     try:
         ws = load_workspace(args.workspace)
-        lines, payload = args.func(ws, args)
+        payload = {"command": args.command, **args.func(ws, args)}
     except WorkspaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -506,9 +472,20 @@ def _main(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if args.as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        out = json.dumps(payload, indent=2, sort_keys=True)
     else:
-        print("\n".join(lines))
+        out = "\n".join(_text(payload))
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard out; the result was computed, so this
+        # is exit 0.  Point the descriptor at devnull so that the flush at
+        # interpreter exit does not fail again (as the signal module's
+        # documentation advises).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

@@ -20,8 +20,9 @@ A lattice entry is either an inline object with a "gram" matrix (plus an
 optional "e" vector designating an exceptional class in its last
 coordinate) or a string naming a builtin: "U", "E8_MINUS", "K3" or
 "DOUADY(n)" with n >= 2.  DOUADY(n) lattices come with their exceptional
-class built in.  Structural problems (bad JSON, unresolved names, ragged
-or non-integer matrices, length mismatches) raise WorkspaceError;
+class built in.  Structural problems (a file that is not UTF-8, bad or too
+deeply nested JSON, unresolved or non-string names, ragged or non-integer
+matrices, length mismatches) raise WorkspaceError;
 mathematical failures surface later, when an operation runs.
 """
 
@@ -214,7 +215,11 @@ def parse_workspace(data) -> Workspace:
     for name, value in data.get("lattices", {}).items():
         ws.lattices[name] = _parse_lattice(name, value)
 
-    def _resolved_rank(lattice_name: str, where: str) -> int:
+    def _resolved_rank(lattice_name, where: str) -> int:
+        if not isinstance(lattice_name, str):
+            raise WorkspaceError(
+                f"{where}.lattice: expected a lattice name, got {lattice_name!r}"
+            )
         try:
             return ws.lattice(lattice_name).rank
         except WorkspaceError as exc:
@@ -298,6 +303,10 @@ def load_workspace(path: str | None) -> Workspace:
             data = json.load(handle, object_pairs_hook=_reject_duplicate_names)
     except OSError as exc:
         raise WorkspaceError(f"cannot read workspace file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise WorkspaceError(f"workspace file is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise WorkspaceError(f"workspace file is not valid JSON: {exc}") from exc
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise WorkspaceError("workspace file nests arrays or objects too deeply") from None
     return parse_workspace(data)

@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import hilblat
 from hilblat import (
     LatticeError,
     WorkspaceError,
@@ -317,6 +320,68 @@ class TestExitCodes:
     def test_missing_exceptional_class_is_input_error(self, capsys):
         assert main(["index", "U", "whatever"]) == 2
 
+    def test_deeply_nested_workspace_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        got = _run(capsys, ["report", "--workspace", str(path)])
+        message = "error: workspace file nests arrays or objects too deeply\n"
+        assert got == {"exit": 2, "stdout": "", "stderr": message}
+
+    def test_non_utf8_workspace_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        got = _run(capsys, ["report", "--workspace", str(path)])
+        assert got["exit"] == 2 and got["stdout"] == ""
+        assert got["stderr"].startswith("error: workspace file is not UTF-8 text: ")
+        assert got["stderr"].count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (
+                {"vectors": {"v": {"lattice": ["x"], "coords": [1]}}},
+                "vectors.v.lattice: expected a lattice name, got ['x']",
+            ),
+            (
+                {"vectors": {"v": {"lattice": 5, "coords": [1]}}},
+                "vectors.v.lattice: expected a lattice name, got 5",
+            ),
+            (
+                {"groups": {"G": {"lattice": {"a": 1}, "generators": []}}},
+                "groups.G.lattice: expected a lattice name, got {'a': 1}",
+            ),
+        ],
+    )
+    def test_non_string_lattice_reference_is_input_error(
+        self, tmp_path, capsys, data, message
+    ):
+        got = _run(capsys, ["report", "--workspace", _workspace_file(tmp_path, data)])
+        assert got == {"exit": 2, "stdout": "", "stderr": f"error: {message}\n"}
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_exits_quietly(self, unbuffered):
+        # The read end of the pipe is closed before the child starts, so
+        # every write to stdout fails with EPIPE, as under `| head` once
+        # head has exited.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(hilblat.__file__).parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-c", "from hilblat.cli import run; run()",
+                 "solve-index", "2", "4", "30"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (0, b"")
+
 
 class TestJsonMirrorsText:
     def test_report_json_round_trips(self, tmp_path, capsys):
@@ -383,6 +448,22 @@ class TestGoldenOutputs:
             argv = command.split()
             argv[1:1] = ["--workspace", workspace]
             assert _run(capsys, argv) == expected, command
+
+    def test_commands_golden(self, capsys):
+        # every command but report in text and --json on workspace.json,
+        # with its exit-2 and exit-3 paths; errors_workspace.json adds the
+        # exit-3 paths workspace.json has none for, and a report whose
+        # items carry "error" and "classification_error"
+        golden = json.loads((DATA / "commands_golden.json").read_text(encoding="utf-8"))
+        assert {name: len(runs) for name, runs in golden.items()} == {
+            "workspace.json": 92,
+            "errors_workspace.json": 18,
+        }
+        for name, runs in golden.items():
+            for command, expected in runs.items():
+                argv = command.split()
+                argv[1:1] = ["--workspace", str(DATA / name)]
+                assert _run(capsys, argv) == expected, command
 
 
 class TestClosureErrors:
