@@ -12,6 +12,7 @@ such as the rank-2 quartic one is another case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -294,26 +295,29 @@ def index_norm_solutions(
     n: int, d2: int, bound: int
 ) -> tuple[tuple[int, int], ...]:
     """All integer pairs (lam, mu) with -8(n-1) = -8(n-1)*lam^2 + mu^2*d2
-    and |lam|, |mu| <= bound, by exhaustive search over the box.
+    and |lam|, |mu| <= bound.
 
     This is the norm equation satisfied by an isometry with
     f(e) = lam*e + mu*iota(d), d a generator of a rank-1 Picard block with
-    d^2 = d2.  The result is sorted and always contains (1, 0) and (-1, 0);
-    for d2 > 0 no solution has lam = 0.
+    d^2 = d2.  Each lam fixes mu^2 = 8(n-1)(lam^2 - 1)/d2, so one integer
+    square root per lam finds mu up to sign, in time linear in ``bound``.
+    The result is sorted and always contains (1, 0) and (-1, 0); for
+    d2 > 0 no solution has lam = 0.
     """
     _points(n)
     if isinstance(d2, bool) or not isinstance(d2, int) or d2 == 0:
         raise LatticeError("d2 must be a nonzero integer")
     if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
         raise LatticeError("bound must be a positive integer")
-    qe = -8 * (n - 1)
     out = []
     for lam in range(-bound, bound + 1):
-        rest = qe - qe * lam * lam
-        for mu in range(-bound, bound + 1):
-            if mu * mu * d2 == rest:
-                out.append((lam, mu))
-    return tuple(sorted(out))
+        square, r = divmod(8 * (n - 1) * (lam * lam - 1), d2)
+        if r or square < 0:
+            continue
+        mu = math.isqrt(square)
+        if mu * mu == square and mu <= bound:
+            out.extend([(lam, -mu), (lam, mu)] if mu else [(lam, 0)])
+    return tuple(out)
 
 
 def same_positive_cone_component(L: Lattice, x, y) -> bool:

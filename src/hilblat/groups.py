@@ -16,15 +16,16 @@ from .core import (
     _hnf,
     _isometry_matrix,
     _kernel,
+    _support,
     as_matrix,
     det,
     discriminant,
     identity_matrix,
-    mat_mul,
     mat_vec,
     orthogonal_complement,
     rational_span_leq,
     sub_signature,
+    transpose,
 )
 from .douady import ExceptionalPair
 
@@ -66,29 +67,66 @@ class IsometryGroup:
 def closure(target, generators, cap: int = DEFAULT_CLOSURE_CAP) -> IsometryGroup:
     """Enumerate the group generated by the given isometries.
 
-    Breadth-first products starting from the identity; raises once the
-    order would exceed ``cap``, which signals an infinite or oversized
-    group.
+    The group acts faithfully on the orbit O of the basis vectors, since
+    column j of g is g(e_j).  Each generator becomes a permutation of O,
+    found by sparse matrix-vector products, and each element is stored
+    as the n-tuple of the orbit indices of its columns, so that a product
+    with a generator is n list lookups.  The breadth-first search runs on
+    these tuples, and each element's matrix is built once at the end.
+
+    Raises once the orbit of one basis vector, or the number of elements,
+    would exceed ``cap``; either signals an infinite or oversized group,
+    since |G| >= |G e_j|.
     """
     L = _plain_lattice(target)
+    n = L.rank
     gens = [_isometry_matrix(L, g, "generator") for g in generators]
-    ident = identity_matrix(L.rank)
+    too_big = f"group order exceeds the enumeration cap {cap}"
+    # g(v) summed over the nonzero columns of g that v selects; the dense
+    # mat_vec made the closures of a fixed-lattice round 3x slower.
+    columns = [_support(transpose(g)) for g in gens]
+    points = list(identity_matrix(n))
+    index = {v: k for k, v in enumerate(points)}
+    images = [None] * n
+    # Each queue holds only points first reached from its root, so it lies
+    # in that root's orbit and its length bounds |G| from below.
+    for root in range(n):
+        queue = [root]
+        for k in queue:
+            support = [(j, x) for j, x in enumerate(points[k]) if x]
+            images[k] = image = []
+            for cols in columns:
+                acc = [0] * n
+                for j, x in support:
+                    for i, y in cols[j]:
+                        acc[i] += x * y
+                w = tuple(acc)
+                m = index.get(w)
+                if m is None:
+                    if len(queue) >= cap:
+                        raise LatticeError(too_big)
+                    m = index[w] = len(points)
+                    points.append(w)
+                    images.append(None)
+                    queue.append(m)
+                image.append(m)
+    steps = [perm.__getitem__ for perm in zip(*images)]
+    ident = tuple(range(n))
     elements = {ident}
     frontier = [ident]
     while frontier:
         fresh = []
         for a in frontier:
-            for g in gens:
-                c = mat_mul(a, g)
+            for step in steps:
+                c = tuple(map(step, a))
                 if c not in elements:
                     if len(elements) >= cap:
-                        raise LatticeError(
-                            f"group order exceeds the enumeration cap {cap}"
-                        )
+                        raise LatticeError(too_big)
                     elements.add(c)
                     fresh.append(c)
         frontier = fresh
-    return IsometryGroup(L, tuple(sorted(elements)), tuple(gens))
+    matrices = sorted(tuple(zip(*map(points.__getitem__, a))) for a in elements)
+    return IsometryGroup(L, tuple(matrices), tuple(gens))
 
 
 def invariant_sublattice(G: IsometryGroup) -> Sublattice:

@@ -94,6 +94,19 @@ def abstract_matrix_closure(gens, n, cap):
     return elements
 
 
+def reference_index_norm_solutions(n, d2, bound):
+    """The box search that index_norm_solutions used before solving for mu
+    by an integer square root; a test-only reference, quadratic in bound."""
+    qe = -8 * (n - 1)
+    out = []
+    for lam in range(-bound, bound + 1):
+        rest = qe - qe * lam * lam
+        for mu in range(-bound, bound + 1):
+            if mu * mu * d2 == rest:
+                out.append((lam, mu))
+    return tuple(sorted(out))
+
+
 def reference_hermite_basis(vectors, width):
     """The column-by-column Euclid elimination that hermite_basis used
     before the single echelon routine; a test-only reference.  Its

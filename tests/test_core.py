@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     random_nondegenerate_lattice,
@@ -35,6 +37,7 @@ from hilblat import (
     saturate,
     saturation_basis,
     signature,
+    transpose,
 )
 
 U = hyperbolic_plane()
@@ -107,6 +110,26 @@ class TestSignature:
         # zero diagonal everywhere, nonzero off-diagonal entry
         L = Lattice.from_gram([[0, 3], [3, 0]])
         assert signature(L) == (1, 0, 1)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.integers(1, 6), st.integers(0, 2**32))
+    def test_invariant_under_unimodular_congruence(self, rank, seed):
+        """Sylvester's law of inertia: signature(P^T G P) = signature(G) for
+        unimodular P, degenerate forms included."""
+        rng = random.Random(seed)
+        gram = random_symmetric_gram(rng, rank, lo=-3, hi=3)
+        p = [list(row) for row in identity_matrix(rank)]
+        for _ in range(rng.randint(1, 3 * rank)):
+            i, j = rng.randrange(rank), rng.randrange(rank)
+            if i == j:
+                p[i] = [-x for x in p[i]]
+            else:
+                c = rng.choice((-2, -1, 1, 2))
+                p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+        p = tuple(tuple(row) for row in p)
+        assert abs(det(p)) == 1
+        moved = mat_mul(mat_mul(transpose(p), gram), p)
+        assert signature(Lattice.from_gram(moved)) == signature(Lattice.from_gram(gram))
 
 
 class TestDirectSumRescale:

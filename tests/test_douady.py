@@ -2,8 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_norm_pm2_vector, random_reflection_product
+from helpers import (
+    random_norm_pm2_vector,
+    random_reflection_product,
+    reference_index_norm_solutions,
+)
 from hilblat import (
     LatticeError,
     beauville_fixture,
@@ -280,6 +286,25 @@ class TestIndexNormSolutions:
         got = set(index_norm_solutions(2, 4, 30))
         assert all((-lam, mu) in got and (lam, -mu) in got for lam, mu in got)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_matches_box_search(self, n):
+        for d2 in (1, -1, 2, -2, -12, 4, 8, 12, 24, 28):
+            for bound in (1, 7, 60):
+                assert index_norm_solutions(n, d2, bound) == (
+                    reference_index_norm_solutions(n, d2, bound)
+                ), (d2, bound)
+        for d2 in (4, -2, 28):
+            assert index_norm_solutions(n, d2, 300) == (
+                reference_index_norm_solutions(n, d2, 300)
+            ), d2
+
+    def test_large_bound(self):
+        # n = 2, d2 = 4 is lam^2 - 2(mu/2)^2 = 1, solved by powers of 3 + 2*sqrt(2)
+        got = index_norm_solutions(2, 4, 10**5)
+        assert [s for s in got if s[0] > 0 and s[1] > 0] == [
+            (3, 4), (17, 24), (99, 140), (577, 816), (3363, 4756), (19601, 27720),
+        ]
+
     def test_bad_arguments(self):
         with pytest.raises(LatticeError):
             index_norm_solutions(1, 4, 30)
@@ -367,6 +392,21 @@ class TestCompositionInvariance:
             lam_b = index_invariant(D2, b)
             assert index_invariant(D2, mat_mul(a, b)) == lam_b
             assert index_invariant(D2, mat_mul(b, a)) == lam_b
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(st.integers(2, 5), st.integers(0, 2**32))
+    def test_index_unchanged_by_natural_lifts_on_either_side(self, n, seed):
+        rng = random.Random(seed)
+        D = douady_lattice(n)
+        f = random_reflection_product(D.full, rng, max_length=4)
+        left, right = (
+            natural_lift(D, random_reflection_product(K3, rng, max_length=3)).matrix
+            for _ in range(2)
+        )
+        lam = index_invariant(D, f)
+        assert index_invariant(D, mat_mul(left, f)) == lam
+        assert index_invariant(D, mat_mul(f, right)) == lam
+        assert index_invariant(D, mat_mul(left, mat_mul(f, right))) == lam
 
 
 def test_reflection_vectors_exist_in_ambient():

@@ -2,7 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hilblat.core as core
+import hilblat.groups as groups
 from helpers import (
     abstract_matrix_closure,
     random_signed_permutation,
@@ -29,6 +33,7 @@ from hilblat import (
     is_isometry,
     is_negative_definite,
     k3_lattice,
+    mat_mul,
     natural_lift,
     norm,
     ns_classification,
@@ -40,13 +45,18 @@ from hilblat import (
 
 U = hyperbolic_plane()
 SWAP = ((0, 1), (1, 0))
+K3 = k3_lattice()
+E8_BLOCKS = (range(6, 14), range(14, 22))  # the two E8(-1) summands of K3
+CAP_MESSAGE = "group order exceeds the enumeration cap {}"
 
 
 class TestClosure:
     def test_no_generators(self):
-        G = closure(U, [])
-        assert G.order == 1
-        assert G.elements == (identity_matrix(2),)
+        for L in (U, K3):
+            G = closure(L, [])
+            assert G.order == 1
+            assert G.elements == (identity_matrix(L.rank),)
+            assert G.generators == ()
 
     def test_swap_generates_order_two(self):
         assert closure(U, [SWAP]).order == 2
@@ -83,12 +93,141 @@ class TestClosure:
 
     def test_cap_exceeded(self):
         pell = ((3, 4), (2, 3))  # infinite order on diag(1, -2)
-        with pytest.raises(LatticeError):
-            closure(diagonal_lattice((1, -2)), [pell], cap=64)
+        # two (-2)-roots of U + U with q(a, b) = -2: a translation of infinite order
+        a = (1, -1) + (0,) * 20
+        b = (2, 0, 1, -1) + (0,) * 18
+        dihedral = [reflection_isometry(K3, a), reflection_isometry(K3, b)]
+        cases = [(diagonal_lattice((1, -2)), [pell], 64)]
+        cases += [(K3, dihedral, cap) for cap in (1, 64, 10_000)]
+        for L, gens, cap in cases:
+            with pytest.raises(LatticeError) as err:
+                closure(L, gens, cap=cap)
+            assert str(err.value) == CAP_MESSAGE.format(cap)
 
     def test_non_isometry_generator(self):
         with pytest.raises(LatticeError):
             closure(U, [((1, 1), (0, 1))])
+
+
+def _e(i):
+    return tuple(1 if k == i else 0 for k in range(22))
+
+
+def _block_root(rng, block):
+    """A simple root of one E8(-1) summand, or half the time a random
+    vector of norm -2 supported in it."""
+    if rng.randint(0, 1):
+        return _e(rng.choice(block))
+    while True:
+        v = [0] * 22
+        for _ in range(rng.randint(1, 3)):
+            v[rng.choice(block)] = rng.randint(-2, 2)
+        if norm(K3, v) == -2:
+            return tuple(v)
+
+
+def _mixing_reflection(rng):
+    """Reflection in a norm +-2 vector with entries in at least two of the
+    summands U, U, U, E8(-1), E8(-1)."""
+    summand = (0, 0, 1, 1, 2, 2) + (3,) * 8 + (4,) * 8
+    while True:
+        v = [0] * 22
+        for _ in range(rng.randint(2, 4)):
+            v[rng.randrange(22)] = rng.randint(-2, 2)
+        if norm(K3, v) in (2, -2) and len({summand[i] for i in range(22) if v[i]}) > 1:
+            return reflection_isometry(K3, v).matrix
+
+
+class TestPermutationClosure:
+    """closure enumerates through the permutation action on the orbit of
+    the basis vectors; the breadth-first matrix products of
+    abstract_matrix_closure are the oracle."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from([2, 3, 4]),
+        st.booleans(),
+        st.integers(0, 2),
+        st.sampled_from([None, 2, 3]),
+        st.sampled_from([-1, 0, 1000]),
+    )
+    def test_matches_matrix_product_oracle(self, seed, roots, both, mixing, lift, excess):
+        """Weyl groups of up to four roots in one or both E8(-1) summands,
+        conjugated by reflections that mix summands and sometimes lifted to
+        DOUADY(n); the cap is set just below, at or far above the order."""
+        rng = random.Random(seed)
+        blocks = E8_BLOCKS if both else E8_BLOCKS[:1]
+        gens = [
+            reflection_isometry(K3, _block_root(rng, rng.choice(blocks))).matrix
+            for _ in range(roots)
+        ]
+        for _ in range(mixing):
+            r = _mixing_reflection(rng)
+            gens = [mat_mul(r, mat_mul(g, r)) for g in gens]
+        target = K3
+        if lift is not None:
+            target = douady_lattice(lift)
+            gens = [natural_lift(target, g).matrix for g in gens]
+        # four roots span at most D4, whose Weyl group has order 192
+        expected = abstract_matrix_closure(gens, len(gens[0]), cap=400)
+        cap = len(expected) + excess
+        if excess < 0:
+            with pytest.raises(LatticeError) as err:
+                closure(target, gens, cap)
+            assert str(err.value) == CAP_MESSAGE.format(cap)
+        else:
+            G = closure(target, gens, cap)
+            assert G.elements == tuple(sorted(expected))
+            assert G.generators == tuple(gens)
+
+    @pytest.mark.parametrize("lift", [None, 2])
+    def test_order_equal_to_cap_passes(self, lift):
+        gens = [reflection_isometry(K3, _e(i)).matrix for i in (7, 8, 9, 10)]  # W(D4)
+        target = K3
+        if lift is not None:
+            target = douady_lattice(lift)
+            gens = [natural_lift(target, g).matrix for g in gens]
+        G = closure(target, gens, cap=192)
+        assert G.elements == tuple(sorted(abstract_matrix_closure(gens, len(gens[0]), 192)))
+        with pytest.raises(LatticeError) as err:
+            closure(target, gens, cap=191)
+        assert str(err.value) == CAP_MESSAGE.format(191)
+
+    def test_rank_zero_lattice(self):
+        L = Lattice(0, ())
+        for gens in ([], [()], [(), ()]):
+            G = closure(L, gens)
+            assert G.elements == ((),)
+            assert G.order == 1
+            assert () in G
+
+    def test_membership(self):
+        gens = [reflection_isometry(K3, _e(i)) for i in (6, 8)]  # W(A2)
+        G = closure(K3, gens)
+        assert all(g in G for g in G.elements)
+        assert [list(row) for row in G.elements[0]] in G
+        assert ((0, 1), (1, 0)) not in G
+        assert tuple(tuple(-x for x in row) for row in identity_matrix(22)) not in G
+        with pytest.raises(LatticeError):
+            ((0.5,),) in G
+
+    def test_no_matrix_products(self, monkeypatch):
+        D = douady_lattice(2)
+        weyl = [reflection_isometry(K3, _e(i)).matrix for i in (6, 8, 9, 10, 14)]
+        lifts = [natural_lift(D, g).matrix for g in weyl]  # W(A4) x W(A1)
+        calls = []
+        real = core.mat_mul
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(core, "mat_mul", counted)
+        monkeypatch.setattr(groups, "mat_mul", counted, raising=False)
+        assert closure(K3, weyl).order == 240
+        assert closure(D, lifts).order == 240
+        assert calls == []
 
 
 class TestInvariantSublattice:
