@@ -61,6 +61,17 @@ def _support(m) -> list[list[tuple[int, int]]]:
     return [[(j, x) for j, x in enumerate(row) if x] for row in m]
 
 
+def _combine(terms, rows, width: int) -> tuple:
+    """The sum of x * rows[k] over the sparse terms (k, x), each row given
+    by its nonzero (column, value) pairs: the one kernel behind every
+    sparse matrix action in the library."""
+    acc = [0] * width
+    for k, x in terms:
+        for j, y in rows[k]:
+            acc[j] += x * y
+    return tuple(acc)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Row-sparse product: row i is the sum of a[i][k] * b[k] over the
     nonzero a[i][k], each b[k] taken on its nonzero entries only.
@@ -68,19 +79,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     Equal to the textbook triple sum; an entry that no nonzero pair of
     factors reaches is the integer 0.
     """
-    if a and b and len(a[0]) != len(b):
+    if a and len(a[0]) != len(b):
         raise LatticeError("matrix dimensions do not match")
     width = len(b[0]) if b else 0
     b_rows = _support(b)
-    out = []
-    for row in a:
-        acc = [0] * width
-        for x, b_row in zip(row, b_rows):
-            if x:
-                for j, y in b_row:
-                    acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
+    return tuple(_combine(terms, b_rows, width) for terms in _support(a))
 
 
 def mat_vec(m: Matrix, v: Sequence) -> tuple:
@@ -333,8 +336,13 @@ def signature(L: Lattice) -> SignatureTriple:
     row/column of a nonzero off-diagonal entry into the pivot row/column,
     which makes the pivot twice that entry.
     """
-    n = L.rank
-    a = [[Fraction(x) for x in row] for row in L.gram]
+    return _inertia(L.gram)
+
+
+def _inertia(gram: Matrix) -> SignatureTriple:
+    """signature on a symmetric integer Gram matrix, without input checks."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
     pos = zero = neg = 0
     for i in range(n):
         if a[i][i] == 0:
@@ -438,7 +446,7 @@ class Sublattice:
     def gram(self) -> Matrix:
         """Gram matrix of the ambient form restricted to the stored basis."""
         b = self.basis
-        return mat_mul(b, mat_mul(self.ambient.gram, transpose(b)))
+        return mat_mul(mat_mul(b, self.ambient.gram), transpose(b))
 
     def contains(self, v) -> bool:
         """Integral membership in the integer span."""
@@ -467,7 +475,7 @@ def _check_sub(L: Lattice, s: Sublattice) -> None:
 
 def sub_signature(s: Sublattice) -> SignatureTriple:
     """Signature of the ambient form restricted to the sublattice."""
-    return signature(Lattice.from_gram(s.gram()))
+    return _inertia(s.gram())
 
 
 def rational_span_leq(inner: Sublattice, outer: Sublattice) -> bool:
@@ -509,14 +517,8 @@ def _violation(L: Lattice, m: Matrix) -> str | None:
     if len(m) != n or any(len(row) != n for row in m):
         raise LatticeError("matrix size does not match the lattice rank")
     columns = _support(transpose(m))
-    gram_support = L._gram_support
-    gm_columns = []
-    for col in columns:
-        acc = [0] * n
-        for k, x in col:
-            for i, g in gram_support[k]:
-                acc[i] += g * x
-        gm_columns.append(acc)
+    # column j of gram . M; row k of the Gram matrix is also its column k
+    gm_columns = [_combine(col, L._gram_support, n) for col in columns]
     for i, col in enumerate(columns):
         expected = L.gram[i]
         for j in range(i, n):

@@ -30,7 +30,6 @@ from .core import (
     as_vector,
     diagonal_lattice,
     direct_sum,
-    mat_vec,
     norm,
     pairing,
     rescale,
@@ -203,15 +202,23 @@ def delta_class(D: DouadyLattice) -> Vector:
     return D.delta
 
 
+def _image_of_e(D: ExceptionalPair, f) -> tuple[Matrix, Vector, Vector]:
+    """(matrix of f, e, f(e)).  Since e is e[-1] times the last basis
+    vector, f(e) is e[-1] times the last column of the matrix."""
+    amb, e = _target(D)
+    m = _isometry_matrix(amb, f)
+    return m, e, tuple(e[-1] * row[-1] for row in m)
+
+
 def index_invariant(D: ExceptionalPair, f) -> Fraction:
     """The index q(f(e), e) / q(e) of an isometry, as an exact rational.
 
     Equals 1 for every natural isometry; invariant under composition with
-    isometries fixing e on either side.
+    isometries fixing e on either side.  Read off the pullback
+    decomposition: the last coordinate is orthogonal to the rest, so the
+    index is f(e)[-1] / e[-1].
     """
-    amb, e = _target(D)
-    m = _isometry_matrix(amb, f)
-    return Fraction(pairing(amb, mat_vec(m, e), e), norm(amb, e))
+    return pullback_decomposition(D, f).lam
 
 
 class PullbackDecomposition(NamedTuple):
@@ -223,10 +230,7 @@ class PullbackDecomposition(NamedTuple):
 
 def pullback_decomposition(D: ExceptionalPair, f) -> PullbackDecomposition:
     """Split the image of e along the exceptional line and the surface block."""
-    amb, e = _target(D)
-    m = _isometry_matrix(amb, f)
-    fe = mat_vec(m, e)
-    # fe[-1] / e[-1] is the index: the last coordinate is orthogonal to the rest
+    _, e, fe = _image_of_e(D, f)
     return PullbackDecomposition(Fraction(fe[-1], e[-1]), fe[:-1])
 
 
@@ -250,9 +254,8 @@ def is_natural_on_lattice(D: ExceptionalPair, f) -> bool:
     On the full Douady lattice this is f(delta) = delta; a natural isometry
     then stabilizes the embedded K3 block and splits as (surface part, id).
     """
-    amb, e = _target(D)
-    m = _isometry_matrix(amb, f)
-    return mat_vec(m, e) == e
+    _, e, fe = _image_of_e(D, f)
+    return fe == e
 
 
 def extract_surface_isometry(D: ExceptionalPair, f) -> Isometry:
@@ -260,11 +263,10 @@ def extract_surface_isometry(D: ExceptionalPair, f) -> Isometry:
 
     Inverse to natural_lift; raises when the exceptional class is moved.
     """
-    amb, e = _target(D)
-    m = _isometry_matrix(amb, f)
-    if mat_vec(m, e) != e:
+    m, e, fe = _image_of_e(D, f)
+    if fe != e:
         raise LatticeError(
-            f"the exceptional class is not fixed (image {mat_vec(m, e)}); "
+            f"the exceptional class is not fixed (image {fe}); "
             "no surface isometry to extract"
         )
     # Fixing e makes the last column the last unit vector, and preserving

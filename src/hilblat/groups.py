@@ -13,6 +13,7 @@ from .core import (
     Matrix,
     SignatureTriple,
     Sublattice,
+    _combine,
     _hnf,
     _isometry_matrix,
     _kernel,
@@ -21,7 +22,7 @@ from .core import (
     det,
     discriminant,
     identity_matrix,
-    mat_vec,
+    mat_mul,
     orthogonal_complement,
     rational_span_leq,
     sub_signature,
@@ -68,8 +69,9 @@ def closure(target, generators, cap: int = DEFAULT_CLOSURE_CAP) -> IsometryGroup
     """Enumerate the group generated by the given isometries.
 
     The group acts faithfully on the orbit O of the basis vectors, since
-    column j of g is g(e_j).  Each generator becomes a permutation of O,
-    found by sparse matrix-vector products, and each element is stored
+    column j of g is g(e_j).  Each generator becomes a permutation of O:
+    the image g(v) of an orbit point is the core sparse kernel's sum of
+    v_j times column j of g over the nonzero v_j.  Each element is stored
     as the n-tuple of the orbit indices of its columns, so that a product
     with a generator is n list lookups.  The breadth-first search runs on
     these tuples, and each element's matrix is built once at the end.
@@ -82,8 +84,8 @@ def closure(target, generators, cap: int = DEFAULT_CLOSURE_CAP) -> IsometryGroup
     n = L.rank
     gens = [_isometry_matrix(L, g, "generator") for g in generators]
     too_big = f"group order exceeds the enumeration cap {cap}"
-    # g(v) summed over the nonzero columns of g that v selects; the dense
-    # mat_vec made the closures of a fixed-lattice round 3x slower.
+    # Sparse columns: the dense mat_vec made the closures of a
+    # fixed-lattice round 3x slower.
     columns = [_support(transpose(g)) for g in gens]
     points = list(identity_matrix(n))
     index = {v: k for k, v in enumerate(points)}
@@ -96,11 +98,7 @@ def closure(target, generators, cap: int = DEFAULT_CLOSURE_CAP) -> IsometryGroup
             support = [(j, x) for j, x in enumerate(points[k]) if x]
             images[k] = image = []
             for cols in columns:
-                acc = [0] * n
-                for j, x in support:
-                    for i, y in cols[j]:
-                        acc[i] += x * y
-                w = tuple(acc)
+                w = _combine(support, cols, n)
                 m = index.get(w)
                 if m is None:
                     if len(queue) >= cap:
@@ -263,6 +261,20 @@ def classify_ns_type(L: Lattice, ns: Sublattice) -> NSType:
     return ns_classification(L, ns).ns_type
 
 
+def _generator_images(G: IsometryGroup, s: Sublattice, unstable: str) -> list[Matrix]:
+    """g(basis of s), one stacked matrix per generator g; raises with the
+    message ``unstable`` unless every image lies in s.
+
+    Stability is one echelon call on the basis and all images together:
+    the span grows, and the canonical basis changes, iff an image is
+    outside s.
+    """
+    images = [mat_mul(s.basis, transpose(g)) for g in G.generators]
+    if _hnf([*s.basis, *(v for image in images for v in image)]) != s.basis:
+        raise LatticeError(unstable)
+    return images
+
+
 def acts_trivially_on(G: IsometryGroup, s: Sublattice) -> bool:
     """Whether every group element fixes the sublattice pointwise.
 
@@ -272,13 +284,8 @@ def acts_trivially_on(G: IsometryGroup, s: Sublattice) -> bool:
     """
     if s.ambient != G.ambient:
         raise LatticeError("sublattice lives in a different lattice")
-    images = [
-        (v, mat_vec(g, v)) for g in G.generators for v in s.basis
-    ]
-    for _, gv in images:
-        if not s.contains(gv):
-            raise LatticeError("sublattice is not stable under the group")
-    return all(gv == v for v, gv in images)
+    images = _generator_images(G, s, "sublattice is not stable under the group")
+    return all(image == s.basis for image in images)
 
 
 def is_negative_definite(s: Sublattice) -> bool:
@@ -333,27 +340,23 @@ def symplectic_action_report(
         raise LatticeError("group acts on a different lattice")
     if ns.ambient != amb:
         raise LatticeError("sublattice lives in a different lattice")
-    for g in G.generators:
-        for v in ns.basis:
-            if not ns.contains(mat_vec(g, v)):
-                raise LatticeError(
-                    "the Neron-Severi block is not stable under the group"
-                )
+    _generator_images(G, ns, "the Neron-Severi block is not stable under the group")
     cls = ns_classification(amb, ns)
     tr = cls.transcendental
-    fixes = all(mat_vec(g, v) == v for g in G.generators for v in tr.basis)
     inv = invariant_sublattice(G)
     co = orthogonal_complement(amb, inv)
+    co_sig = sub_signature(co)
     negdef = (
-        is_negative_definite(co)
+        co_sig == (0, 0, co.rank)
         if cls.ns_type in (NSType.PARABOLIC, NSType.ELLIPTIC)
         else None
     )
     return SymplecticActionReport(
         ns_type=cls.ns_type,
-        fixes_transcendental_pointwise=fixes,
+        # tr = NS-perp is G-stable because NS is, so this cannot raise
+        fixes_transcendental_pointwise=acts_trivially_on(G, tr),
         transcendental_in_invariant=rational_span_leq(tr, inv),
         coinvariant_in_ns=rational_span_leq(co, ns),
         coinvariant_negative_definite=negdef,
-        coinvariant_signature=sub_signature(co),
+        coinvariant_signature=co_sig,
     )

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from helpers import (
     reference_index_norm_solutions,
 )
 from hilblat import (
+    ExceptionalPair,
     LatticeError,
     beauville_fixture,
     delta_class,
@@ -28,6 +30,7 @@ from hilblat import (
     k3_lattice,
     kahler_candidate_check,
     mat_mul,
+    mat_vec,
     natural_lift,
     norm,
     orthogonal_complement,
@@ -164,13 +167,33 @@ class TestPullbackDecomposition:
         assert dec.lam == -3 and dec.d == (4,)
 
     def test_reconstructs_image(self):
+        """Index, pullback and naturality against the dense image f(e) =
+        M . e, also for classes e = k * (last basis vector) with k not 1 or
+        2, where f(e) is k times the last column."""
         rng = random.Random(14)
-        for _ in range(10):
-            m = random_reflection_product(D2.full, rng, max_length=4)
-            dec = pullback_decomposition(D2, m)
-            fe = tuple(sum(m[i][j] * e for j, e in enumerate(e_class(D2))) for i in range(23))
-            rebuilt = dec.d + (dec.lam * 2,)
-            assert tuple(rebuilt) == fe
+        d2_matrices = [random_reflection_product(D2.full, rng, max_length=4) for _ in range(10)]
+        quartic, involution = beauville_fixture()
+        flip = ((1, 0), (0, -1))
+        picard = [involution, flip, mat_mul(involution, flip), identity_matrix(2)]
+        cases = [
+            (D2, d2_matrices),
+            (ExceptionalPair(D2.full, (0,) * 22 + (-3,)), d2_matrices),
+            (ExceptionalPair(quartic.lattice, (0, 3)), picard),
+            (ExceptionalPair(quartic.lattice, (0, -1)), picard),
+        ]
+        for pair, matrices in cases:
+            L, e = pair.lattice, pair.e
+            for m in matrices:
+                fe = mat_vec(m, e)
+                dec = pullback_decomposition(pair, m)
+                assert index_invariant(pair, m) == Fraction(pairing(L, fe, e), norm(L, e))
+                assert dec.lam == index_invariant(pair, m)
+                assert dec.d == fe[:-1]
+                assert dec.d + (dec.lam * e[-1],) == fe
+                assert is_natural_on_lattice(pair, m) == (fe == e)
+                if fe != e:
+                    with pytest.raises(LatticeError, match=rf"\(image {re.escape(str(fe))}\)"):
+                        extract_surface_isometry(pair, m)
 
     def test_half_integral_at_worst(self):
         rng = random.Random(15)

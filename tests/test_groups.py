@@ -10,6 +10,7 @@ import hilblat.groups as groups
 from helpers import (
     abstract_matrix_closure,
     random_signed_permutation,
+    random_sublattice,
     random_symmetric_gram,
 )
 from hilblat import (
@@ -26,6 +27,7 @@ from hilblat import (
     det,
     douady_lattice,
     full_sublattice,
+    hermite_basis,
     hyperbolic_plane,
     identity_matrix,
     integer_kernel,
@@ -34,6 +36,7 @@ from hilblat import (
     is_negative_definite,
     k3_lattice,
     mat_mul,
+    mat_vec,
     natural_lift,
     norm,
     ns_classification,
@@ -48,6 +51,8 @@ SWAP = ((0, 1), (1, 0))
 K3 = k3_lattice()
 E8_BLOCKS = (range(6, 14), range(14, 22))  # the two E8(-1) summands of K3
 CAP_MESSAGE = "group order exceeds the enumeration cap {}"
+UNSTABLE = "sublattice is not stable under the group"
+UNSTABLE_NS = "the Neron-Severi block is not stable under the group"
 
 
 class TestClosure:
@@ -411,8 +416,69 @@ class TestActsTrivially:
 
     def test_unstable_sublattice_rejected(self):
         G = closure(U, [SWAP])
-        with pytest.raises(LatticeError):
+        with pytest.raises(LatticeError, match=f"^{UNSTABLE}$"):
             acts_trivially_on(G, Sublattice(U, [(1, 0)]))
+
+
+class TestStabilityChecks:
+    """acts_trivially_on and the stability check of symplectic_action_report
+    against the per-vector checks: g(v) in s, and g(v) == v, for every
+    generator g and basis vector v of s."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from(["invariant", "coinvariant", "full", "orbit", "random"]),
+    )
+    def test_matches_per_vector_oracle(self, seed, kind):
+        rng = random.Random(seed)
+        G, L = _random_isometry_group(rng)
+        s = _sublattice_of_kind(G, L, kind, rng)
+        stable = all(s.contains(mat_vec(g, v)) for g in G.generators for v in s.basis)
+        fixed = all(mat_vec(g, v) == v for g in G.generators for v in s.basis)
+        assert stable or kind == "random"
+        if stable:
+            assert acts_trivially_on(G, s) == fixed
+        else:
+            with pytest.raises(LatticeError, match=f"^{UNSTABLE}$"):
+                acts_trivially_on(G, s)
+        try:
+            rep = symplectic_action_report(L, G, s)
+        except LatticeError as exc:
+            # a stable block may still match no Picard-block pattern
+            assert (str(exc) == UNSTABLE_NS) == (not stable)
+            return
+        assert stable
+        tr = transcendental_sublattice(L, s)
+        assert rep.fixes_transcendental_pointwise == all(
+            mat_vec(g, v) == v for g in G.generators for v in tr.basis
+        )
+
+    def test_one_echelon_call_per_stability_check(self, monkeypatch):
+        D = douady_lattice(2)
+        gens = [natural_lift(D, reflection_isometry(K3, _e(i))).matrix for i in (6, 8)]
+        G = closure(D.full, gens)  # W(A2) on two roots of E8(-1)
+        ns = Sublattice(D.full, [_e(6) + (0,), _e(8) + (0,), D.delta])
+        hnf_calls, contains_calls = [], []
+        real_hnf, real_contains = groups._hnf, core.Sublattice.contains
+
+        def hnf(rows):
+            hnf_calls.append(rows)
+            return real_hnf(rows)
+
+        def contains(s, v):
+            contains_calls.append(v)
+            return real_contains(s, v)
+
+        monkeypatch.setattr(groups, "_hnf", hnf)
+        monkeypatch.setattr(core.Sublattice, "contains", contains)
+        assert not acts_trivially_on(G, ns)
+        assert len(hnf_calls) == 1
+        hnf_calls.clear()
+        rep = symplectic_action_report(D, G, ns)
+        assert rep.fixes_transcendental_pointwise and rep.all_verified
+        assert len(hnf_calls) <= 2
+        assert contains_calls == []
 
 
 class TestNegativeDefinite:
@@ -477,7 +543,7 @@ class TestSymplecticActionReport:
 
     def test_unstable_ns_rejected(self):
         G = closure(U, [SWAP])
-        with pytest.raises(LatticeError):
+        with pytest.raises(LatticeError, match=f"^{UNSTABLE_NS}$"):
             symplectic_action_report(U, G, Sublattice(U, [(1, 0)]))
 
     def test_hyperbolic_case_makes_no_definiteness_claim(self):
@@ -524,3 +590,18 @@ def _random_isometry_group(rng):
             return closure(L, gens, cap=8), L
         except LatticeError:
             continue
+
+
+def _sublattice_of_kind(G, L, kind, rng):
+    """A G-stable sublattice (invariant, coinvariant, full, or spanned by
+    the orbit of a random vector) or a random, usually unstable, one."""
+    if kind == "invariant":
+        return invariant_sublattice(G)
+    if kind == "coinvariant":
+        return coinvariant_sublattice(G)
+    if kind == "full":
+        return full_sublattice(L)
+    if kind == "orbit":
+        v = tuple(rng.randint(-2, 2) for _ in range(L.rank))
+        return Sublattice(L, hermite_basis([mat_vec(g, v) for g in G.elements], L.rank))
+    return random_sublattice(L, rng)

@@ -158,6 +158,9 @@ class TestMatMul:
     @given(product_pairs(), st.integers(1, 5))
     def test_dimension_mismatch_raises(self, pair, extra):
         a, b = pair
+        if a and a[0]:
+            with pytest.raises(LatticeError):
+                mat_mul(a, ())  # a right factor with no rows at all
         if not a or not b:
             return
         wrong = b + tuple(b[0] for _ in range(extra))
