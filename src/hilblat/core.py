@@ -13,6 +13,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[int, ...]
@@ -29,22 +30,43 @@ def _entry(x) -> int:
     return x
 
 
+_INT = frozenset({int})
+_EXACT = frozenset({int, Fraction})
+
+
+def _int_row(data) -> Vector:
+    """``data`` as an integer tuple.  One type scan at C speed accepts a row
+    of exact ints (``type(x) is int`` also excludes bool); only a row with
+    some other entry is checked entry by entry, so an int subclass still
+    passes unchanged and a bad entry gets the same message."""
+    row = tuple(data)
+    if not _INT.issuperset(map(type, row)):
+        for x in row:
+            _entry(x)
+    return row
+
+
 def as_vector(data: Sequence[int]) -> Vector:
-    return tuple(_entry(x) for x in data)
+    return _int_row(data)
 
 
 def as_matrix(data) -> Matrix:
-    rows = tuple(tuple(_entry(x) for x in row) for row in data)
-    if len({len(row) for row in rows}) > 1:
+    """``data`` as a tuple of integer row tuples of one length.  Each row is
+    taken and checked in turn, with one type scan unless it holds an entry
+    that is not exactly an int, so the first row with a bad entry or that
+    is not iterable raises; unequal lengths are checked last."""
+    rows = tuple(map(_int_row, data))
+    if len(set(map(len, rows))) > 1:
         raise LatticeError("matrix rows have unequal lengths")
     return rows
 
 
 def _exact_vector(data) -> tuple:
     out = tuple(data)
-    for x in out:
-        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-            raise LatticeError(f"exact integer or rational entry expected, got {x!r}")
+    if not _EXACT.issuperset(map(type, out)):
+        for x in out:
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                raise LatticeError(f"exact integer or rational entry expected, got {x!r}")
     return out
 
 
@@ -57,8 +79,9 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def _support(m) -> list[list[tuple[int, int]]]:
-    """The nonzero entries of each row of ``m``, as (column, value) pairs."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+    """The nonzero entries of each row of ``m``, as (column, value) pairs,
+    selected at C speed by ``compress`` on the entries' truth values."""
+    return [list(compress(enumerate(row), row)) for row in m]
 
 
 def _combine(terms, rows, width: int) -> tuple:
@@ -268,10 +291,8 @@ class Lattice:
         gram = as_matrix(self.gram)
         if len(gram) != self.rank or any(len(row) != self.rank for row in gram):
             raise LatticeError(f"Gram matrix must be {self.rank}x{self.rank}")
-        for i in range(self.rank):
-            for j in range(i):
-                if gram[i][j] != gram[j][i]:
-                    raise LatticeError("Gram matrix must be symmetric")
+        if gram != transpose(gram):
+            raise LatticeError("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", gram)
 
     @cached_property
@@ -514,7 +535,8 @@ def isometry_violation(L: Lattice, matrix) -> str | None:
 def _violation(L: Lattice, m: Matrix) -> str | None:
     """isometry_violation on a matrix that has been through as_matrix."""
     n = L.rank
-    if len(m) != n or any(len(row) != n for row in m):
+    # as_matrix has made every row as long as the first
+    if len(m) != n or (m and len(m[0]) != n):
         raise LatticeError("matrix size does not match the lattice rank")
     columns = _support(transpose(m))
     # column j of gram . M; row k of the Gram matrix is also its column k

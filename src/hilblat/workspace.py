@@ -32,7 +32,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .core import Lattice, Matrix, Vector
+from .core import _INT, Lattice, Matrix, Vector
 from .douady import (
     ExceptionalPair,
     douady_lattice,
@@ -63,6 +63,9 @@ def _int(value, where: str) -> int:
 def _vector(value, where: str) -> Vector:
     if not isinstance(value, list):
         raise WorkspaceError(f"{where}: expected a list of integers")
+    # a list of JSON numbers needs no per-entry check
+    if _INT.issuperset(map(type, value)):
+        return tuple(value)
     return tuple(_int(x, where) for x in value)
 
 

@@ -1,7 +1,10 @@
 """Shared randomized generators for the test suite (always seeded)."""
 
+from fractions import Fraction
+
 from hilblat import (
     Lattice,
+    LatticeError,
     Sublattice,
     det,
     identity_matrix,
@@ -177,3 +180,40 @@ def reference_integer_kernel(rows, width):
                 break
         rank += 1
     return reference_hermite_basis([row[m:] for row in aug[rank:]], width)
+
+
+def _reference_entry(x):
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise LatticeError(f"integer entry expected, got {x!r}")
+    return x
+
+
+def reference_as_vector(data):
+    """The per-entry conversion that as_vector used before its one type
+    scan per row; a test-only reference."""
+    return tuple(_reference_entry(x) for x in data)
+
+
+def reference_as_matrix(data):
+    """The per-entry conversion that as_matrix used before its one type
+    scan per row; a test-only reference."""
+    rows = tuple(tuple(_reference_entry(x) for x in row) for row in data)
+    if len({len(row) for row in rows}) > 1:
+        raise LatticeError("matrix rows have unequal lengths")
+    return rows
+
+
+def reference_exact_vector(data):
+    """The per-entry check that pairing used on its vectors before the one
+    type scan; a test-only reference."""
+    out = tuple(data)
+    for x in out:
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise LatticeError(f"exact integer or rational entry expected, got {x!r}")
+    return out
+
+
+def reference_support(m):
+    """The comprehension that listed each row's nonzero (column, value)
+    pairs before compress; a test-only reference."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
