@@ -1,157 +1,10 @@
 """Exact-arithmetic computations with the integral lattices attached to K3
 surfaces and their Douady spaces of points."""
 
-from .core import (
-    Isometry,
-    Lattice,
-    LatticeError,
-    Matrix,
-    SignatureTriple,
-    Sublattice,
-    Vector,
-    det,
-    diagonal_lattice,
-    direct_sum,
-    discriminant,
-    full_sublattice,
-    hermite_basis,
-    identity_isometry,
-    identity_matrix,
-    integer_kernel,
-    is_isometry,
-    isometry_violation,
-    mat_mul,
-    mat_vec,
-    norm,
-    orthogonal_complement,
-    pairing,
-    rank_of,
-    rational_span_leq,
-    reflection_isometry,
-    rescale,
-    saturate,
-    saturation_basis,
-    signature,
-    sub_signature,
-    transpose,
-)
-from .douady import (
-    K3_RANK,
-    DouadyLattice,
-    ExceptionalPair,
-    KahlerCandidateReport,
-    PullbackDecomposition,
-    beauville_fixture,
-    delta_class,
-    douady_lattice,
-    e8_lattice,
-    e8_minus,
-    e_class,
-    extract_surface_isometry,
-    hyperbolic_plane,
-    index_invariant,
-    index_norm_solutions,
-    iota,
-    is_natural_on_lattice,
-    k3_lattice,
-    kahler_candidate_check,
-    natural_lift,
-    psi_first_chern,
-    pullback_decomposition,
-    same_positive_cone_component,
-)
-from .groups import (
-    IsometryGroup,
-    NSClassification,
-    NSType,
-    PairReport,
-    SymplecticActionReport,
-    acts_trivially_on,
-    classify_ns_type,
-    closure,
-    coinvariant_sublattice,
-    invariant_sublattice,
-    is_negative_definite,
-    ns_classification,
-    symplectic_action_report,
-    transcendental_sublattice,
-    verify_pair_properties,
-)
-from .workspace import Workspace, WorkspaceError, load_workspace, parse_workspace
+from . import core, douady, groups, workspace
+from .core import *  # noqa: F403
+from .douady import *  # noqa: F403
+from .groups import *  # noqa: F403
+from .workspace import *  # noqa: F403
 
-__all__ = [
-    "Isometry",
-    "Lattice",
-    "LatticeError",
-    "Matrix",
-    "SignatureTriple",
-    "Sublattice",
-    "Vector",
-    "det",
-    "diagonal_lattice",
-    "direct_sum",
-    "discriminant",
-    "full_sublattice",
-    "hermite_basis",
-    "identity_isometry",
-    "identity_matrix",
-    "integer_kernel",
-    "is_isometry",
-    "isometry_violation",
-    "mat_mul",
-    "mat_vec",
-    "norm",
-    "orthogonal_complement",
-    "pairing",
-    "rank_of",
-    "rational_span_leq",
-    "reflection_isometry",
-    "rescale",
-    "saturate",
-    "saturation_basis",
-    "signature",
-    "sub_signature",
-    "transpose",
-    "K3_RANK",
-    "DouadyLattice",
-    "ExceptionalPair",
-    "KahlerCandidateReport",
-    "PullbackDecomposition",
-    "beauville_fixture",
-    "delta_class",
-    "douady_lattice",
-    "e8_lattice",
-    "e8_minus",
-    "e_class",
-    "extract_surface_isometry",
-    "hyperbolic_plane",
-    "index_invariant",
-    "index_norm_solutions",
-    "iota",
-    "is_natural_on_lattice",
-    "k3_lattice",
-    "kahler_candidate_check",
-    "natural_lift",
-    "psi_first_chern",
-    "pullback_decomposition",
-    "same_positive_cone_component",
-    "IsometryGroup",
-    "NSClassification",
-    "NSType",
-    "PairReport",
-    "SymplecticActionReport",
-    "acts_trivially_on",
-    "classify_ns_type",
-    "closure",
-    "coinvariant_sublattice",
-    "invariant_sublattice",
-    "is_negative_definite",
-    "ns_classification",
-    "symplectic_action_report",
-    "transcendental_sublattice",
-    "verify_pair_properties",
-    "Workspace",
-    "WorkspaceError",
-    "load_workspace",
-    "parse_workspace",
-]
+__all__ = core.__all__ + douady.__all__ + groups.__all__ + workspace.__all__

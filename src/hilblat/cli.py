@@ -1,9 +1,12 @@
 """Deterministic command-line front end.
 
-Each command builds one JSON payload.  ``--json`` prints it; otherwise
-``_text`` renders it, one line form per payload key, so the two outputs
-carry the same facts.  Reports go to standard out, diagnostics to
-standard error.  Identical inputs produce byte-identical reports.
+A command is declared once, in ``_COMMANDS``: its name, help, positional
+arguments and payload builder.  Each command builds one JSON payload: each
+positional argument is echoed in it under its own name, and the builder
+adds what it computes.  ``--json`` prints the payload; otherwise ``_text``
+renders it, one line form per payload key, so the two outputs carry the
+same facts.  Reports go to standard out, diagnostics to standard error.
+Identical inputs produce byte-identical reports.
 
 Exit codes: 0 on success, 2 on input or parse errors (argument, file,
 encoding, JSON or workspace structure), 3 on mathematical precondition
@@ -40,6 +43,7 @@ from .douady import (
     pullback_decomposition,
 )
 from .groups import (
+    NSClassification,
     closure,
     is_negative_definite,
     ns_classification,
@@ -128,8 +132,7 @@ def _group_body(ws: Workspace, name: str) -> dict:
     }
 
 
-def _classification(L: Lattice, sub: Sublattice) -> dict:
-    cls = ns_classification(L, sub)
+def _classification(cls: NSClassification) -> dict:
     return {
         "type": cls.ns_type.value,
         "ns_signature": list(cls.ns_signature),
@@ -140,63 +143,41 @@ def _classification(L: Lattice, sub: Sublattice) -> dict:
 
 
 def cmd_signature(ws: Workspace, args) -> dict:
-    return {"lattice": args.lattice, "signature": list(signature(ws.lattice(args.lattice)))}
+    return {"signature": list(signature(ws.lattice(args.lattice)))}
 
 
 def cmd_complement(ws: Workspace, args) -> dict:
-    L, sub = _named_sublattice(ws, args.lattice, args.sublattice)
-    comp = orthogonal_complement(L, sub)
-    return {
-        "lattice": args.lattice,
-        "sublattice": args.sublattice,
-        "rank": comp.rank,
-        "basis": [list(v) for v in comp.basis],
-    }
+    comp = orthogonal_complement(*_named_sublattice(ws, args.lattice, args.sublattice))
+    return {"rank": comp.rank, "basis": [list(v) for v in comp.basis]}
 
 
 def cmd_isometry_check(ws: Workspace, args) -> dict:
     L = ws.lattice(args.lattice)
     matrix = _named_isometry_matrix(ws, args.lattice, args.isometry)
     violation = isometry_violation(L, matrix)
-    return {
-        "lattice": args.lattice,
-        "isometry": args.isometry,
-        "is_isometry": violation is None,
-        "violation": violation,
-    }
+    return {"is_isometry": violation is None, "violation": violation}
 
 
 def cmd_index(ws: Workspace, args) -> dict:
-    target, f = _named_isometry(ws, args)
-    return {"lattice": args.lattice, "isometry": args.isometry, **_index_body(target, f)}
+    return _index_body(*_named_isometry(ws, args))
 
 
 def cmd_natural_check(ws: Workspace, args) -> dict:
     target, f = _named_isometry(ws, args)
-    payload = {
-        "lattice": args.lattice,
-        "isometry": args.isometry,
-        "natural": is_natural_on_lattice(target, f),
-    }
-    if payload["natural"]:
+    if is_natural_on_lattice(target, f):
         phi = extract_surface_isometry(target, f)
-        payload["surface_block"] = [list(row) for row in phi.matrix]
-    else:
-        payload.update(_moved_class(target, f))
-    return payload
+        return {"natural": True, "surface_block": [list(row) for row in phi.matrix]}
+    return {"natural": False, **_moved_class(target, f)}
 
 
 def cmd_invariant(ws: Workspace, args) -> dict:
-    return {"group": args.group, **_group_body(ws, args.group)}
+    return _group_body(ws, args.group)
 
 
 def cmd_classify(ws: Workspace, args) -> dict:
-    L, sub = _named_sublattice(ws, args.lattice, args.sublattice)
-    return {
-        "lattice": args.lattice,
-        "sublattice": args.sublattice,
-        **_classification(L, sub),
-    }
+    return _classification(
+        ns_classification(*_named_sublattice(ws, args.lattice, args.sublattice))
+    )
 
 
 def cmd_solve_index(ws: Workspace, args) -> dict:
@@ -204,12 +185,7 @@ def cmd_solve_index(ws: Workspace, args) -> dict:
         solutions = index_norm_solutions(args.n, args.d2, args.bound)
     except LatticeError as exc:  # a bad command-line argument: usage error
         raise WorkspaceError(str(exc)) from None
-    return {
-        "n": args.n,
-        "d2": args.d2,
-        "bound": args.bound,
-        "solutions": [list(pair) for pair in solutions],
-    }
+    return {"solutions": [list(pair) for pair in solutions]}
 
 
 def _report_lattice(ws: Workspace, name: str) -> dict:
@@ -237,10 +213,13 @@ def _report_sublattice(ws: Workspace, name: str) -> dict:
         return {"lattice": entry.lattice, "error": str(exc)}
     item = {"lattice": entry.lattice, "rank": sub.rank, "saturated": sub.saturated}
     try:
-        item.update(_classification(L, sub))
+        cls = ns_classification(L, sub)
     except LatticeError as exc:
         item["classification_error"] = str(exc)
-    comp = orthogonal_complement(L, sub)
+        comp = orthogonal_complement(L, sub)
+    else:
+        item.update(_classification(cls))
+        comp = cls.transcendental
     item["complement_rank"] = comp.rank
     item["complement_basis"] = [list(v) for v in comp.basis]
     return item
@@ -373,6 +352,33 @@ def _text(payload: dict) -> list[str]:
     return lines
 
 
+# (name, help, positional arguments, payload builder), in --help order.
+# _main echoes each positional argument in the payload under its own name,
+# so a builder returns only what it computes.
+_COMMANDS = (
+    ("signature", "signature of a lattice",
+     ("lattice",), cmd_signature),
+    ("complement", "orthogonal complement of a sublattice",
+     ("lattice", "sublattice"), cmd_complement),
+    ("isometry-check", "verify the isometry conditions",
+     ("lattice", "isometry"), cmd_isometry_check),
+    ("index", "index and pullback decomposition",
+     ("lattice", "isometry"), cmd_index),
+    ("natural-check", "lattice-level naturality criterion",
+     ("lattice", "isometry"), cmd_natural_check),
+    ("invariant", "fixed and coinvariant sublattices",
+     ("group",), cmd_invariant),
+    ("classify", "hyperbolic/parabolic/elliptic type",
+     ("lattice", "sublattice"), cmd_classify),
+    ("solve-index", "solve the index norm equation",
+     ("n", "d2", "bound"), cmd_solve_index),
+    ("report", "run every applicable check in the workspace",
+     (), cmd_report),
+)
+# The positional arguments parsed as integers; the others are names.
+_INT_ARGUMENTS = ("n", "d2", "bound")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--workspace", metavar="FILE", default=None)
@@ -383,65 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
         "Douady spaces of points.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("signature", parents=[common], help="signature of a lattice")
-    p.add_argument("lattice")
-    p.set_defaults(func=cmd_signature)
-
-    p = sub.add_parser(
-        "complement", parents=[common], help="orthogonal complement of a sublattice"
-    )
-    p.add_argument("lattice")
-    p.add_argument("sublattice")
-    p.set_defaults(func=cmd_complement)
-
-    p = sub.add_parser(
-        "isometry-check", parents=[common], help="verify the isometry conditions"
-    )
-    p.add_argument("lattice")
-    p.add_argument("isometry")
-    p.set_defaults(func=cmd_isometry_check)
-
-    p = sub.add_parser(
-        "index", parents=[common], help="index and pullback decomposition"
-    )
-    p.add_argument("lattice")
-    p.add_argument("isometry")
-    p.set_defaults(func=cmd_index)
-
-    p = sub.add_parser(
-        "natural-check", parents=[common], help="lattice-level naturality criterion"
-    )
-    p.add_argument("lattice")
-    p.add_argument("isometry")
-    p.set_defaults(func=cmd_natural_check)
-
-    p = sub.add_parser(
-        "invariant", parents=[common], help="fixed and coinvariant sublattices"
-    )
-    p.add_argument("group")
-    p.set_defaults(func=cmd_invariant)
-
-    p = sub.add_parser(
-        "classify", parents=[common], help="hyperbolic/parabolic/elliptic type"
-    )
-    p.add_argument("lattice")
-    p.add_argument("sublattice")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser(
-        "solve-index", parents=[common], help="solve the index norm equation"
-    )
-    p.add_argument("n", type=int)
-    p.add_argument("d2", type=int)
-    p.add_argument("bound", type=int)
-    p.set_defaults(func=cmd_solve_index)
-
-    p = sub.add_parser(
-        "report", parents=[common], help="run every applicable check in the workspace"
-    )
-    p.set_defaults(func=cmd_report)
-
+    for name, help_text, positionals, build in _COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for arg in positionals:
+            p.add_argument(arg, type=int if arg in _INT_ARGUMENTS else None)
+        p.set_defaults(func=build, positionals=positionals)
     return parser
 
 
@@ -464,7 +416,11 @@ def _main(argv) -> int:
     args = parser.parse_args(argv)
     try:
         ws = load_workspace(args.workspace)
-        payload = {"command": args.command, **args.func(ws, args)}
+        payload = {
+            "command": args.command,
+            **{name: getattr(args, name) for name in args.positionals},
+            **args.func(ws, args),
+        }
     except WorkspaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

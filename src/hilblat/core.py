@@ -16,6 +16,41 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
+__all__ = [
+    "Isometry",
+    "Lattice",
+    "LatticeError",
+    "Matrix",
+    "SignatureTriple",
+    "Sublattice",
+    "Vector",
+    "det",
+    "diagonal_lattice",
+    "direct_sum",
+    "discriminant",
+    "full_sublattice",
+    "hermite_basis",
+    "identity_isometry",
+    "identity_matrix",
+    "integer_kernel",
+    "is_isometry",
+    "isometry_violation",
+    "mat_mul",
+    "mat_vec",
+    "norm",
+    "orthogonal_complement",
+    "pairing",
+    "rank_of",
+    "rational_span_leq",
+    "reflection_isometry",
+    "rescale",
+    "saturate",
+    "saturation_basis",
+    "signature",
+    "sub_signature",
+    "transpose",
+]
+
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 

@@ -36,6 +36,32 @@ from .core import (
     signature,
 )
 
+__all__ = [
+    "K3_RANK",
+    "DouadyLattice",
+    "ExceptionalPair",
+    "KahlerCandidateReport",
+    "PullbackDecomposition",
+    "beauville_fixture",
+    "delta_class",
+    "douady_lattice",
+    "e8_lattice",
+    "e8_minus",
+    "e_class",
+    "extract_surface_isometry",
+    "hyperbolic_plane",
+    "index_invariant",
+    "index_norm_solutions",
+    "iota",
+    "is_natural_on_lattice",
+    "k3_lattice",
+    "kahler_candidate_check",
+    "natural_lift",
+    "psi_first_chern",
+    "pullback_decomposition",
+    "same_positive_cone_component",
+]
+
 K3_RANK = 22
 
 # Dynkin diagram of E8: chain 1-3-4-5-6-7-8 with node 2 attached to node 4

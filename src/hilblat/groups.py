@@ -30,6 +30,24 @@ from .core import (
 )
 from .douady import ExceptionalPair
 
+__all__ = [
+    "IsometryGroup",
+    "NSClassification",
+    "NSType",
+    "PairReport",
+    "SymplecticActionReport",
+    "acts_trivially_on",
+    "classify_ns_type",
+    "closure",
+    "coinvariant_sublattice",
+    "invariant_sublattice",
+    "is_negative_definite",
+    "ns_classification",
+    "symplectic_action_report",
+    "transcendental_sublattice",
+    "verify_pair_properties",
+]
+
 DEFAULT_CLOSURE_CAP = 10_000
 
 

@@ -40,6 +40,14 @@ from .douady import (
     hyperbolic_plane,
     k3_lattice,
 )
+from .groups import DEFAULT_CLOSURE_CAP
+
+__all__ = [
+    "Workspace",
+    "WorkspaceError",
+    "load_workspace",
+    "parse_workspace",
+]
 
 _DOUADY_RE = re.compile(r"^DOUADY\((-?\d+)\)$")
 
@@ -275,7 +283,7 @@ def parse_workspace(data) -> Workspace:
                 raise WorkspaceError(
                     f"{where}: generator {gen!r} acts on a different lattice"
                 )
-        cap = _int(value.get("cap", 10_000), f"{where}.cap")
+        cap = _int(value.get("cap", DEFAULT_CLOSURE_CAP), f"{where}.cap")
         if cap < 1:
             raise WorkspaceError(f"{where}.cap: must be positive")
         ws.groups[name] = NamedGroup(value["lattice"], tuple(gen_names), cap)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import hilblat
+import hilblat.cli as cli
+import hilblat.groups as groups
 from hilblat import (
     LatticeError,
     WorkspaceError,
@@ -14,9 +17,10 @@ from hilblat import (
     e8_minus,
     hyperbolic_plane,
     identity_isometry,
+    orthogonal_complement,
     parse_workspace,
 )
-from hilblat.cli import main
+from hilblat.cli import build_parser, main
 from hilblat.workspace import builtin_lattice, load_workspace
 
 QUARTIC = {"gram": [[4, 0], [0, -8]], "e": [0, 1]}
@@ -75,6 +79,16 @@ class TestWorkspaceParsing:
                 }
             )
 
+    def test_group_cap_defaults_to_the_closure_cap(self):
+        ws = parse_workspace(
+            {
+                "lattices": {"plane": "U"},
+                "isometries": {"swap": {"lattice": "plane", "matrix": [[0, 1], [1, 0]]}},
+                "groups": {"G": {"lattice": "plane", "generators": ["swap"]}},
+            }
+        )
+        assert ws.group("G").cap == groups.DEFAULT_CLOSURE_CAP
+
     def test_group_generators_must_share_lattice(self):
         with pytest.raises(WorkspaceError):
             parse_workspace(
@@ -103,6 +117,59 @@ class TestWorkspaceParsing:
         )
         with pytest.raises(WorkspaceError):
             load_workspace(str(path))
+
+
+# (name, help, positional arguments), in --help order; an int argument
+# is marked ":int".
+COMMANDS = [
+    ("signature", "signature of a lattice", ["lattice"]),
+    ("complement", "orthogonal complement of a sublattice", ["lattice", "sublattice"]),
+    ("isometry-check", "verify the isometry conditions", ["lattice", "isometry"]),
+    ("index", "index and pullback decomposition", ["lattice", "isometry"]),
+    ("natural-check", "lattice-level naturality criterion", ["lattice", "isometry"]),
+    ("invariant", "fixed and coinvariant sublattices", ["group"]),
+    ("classify", "hyperbolic/parabolic/elliptic type", ["lattice", "sublattice"]),
+    ("solve-index", "solve the index norm equation", ["n:int", "d2:int", "bound:int"]),
+    ("report", "run every applicable check in the workspace", []),
+]
+
+
+class TestParser:
+    """The parser's structure, not its --help bytes, which argparse lays
+    out differently across Python versions."""
+
+    @staticmethod
+    def _subcommands():
+        parser = build_parser()
+        (action,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        return action
+
+    def test_commands_helps_and_positionals(self):
+        action = self._subcommands()
+        helps = {choice.dest: choice.help for choice in action._choices_actions}
+        got = []
+        for name, sub in action.choices.items():
+            positionals = [
+                a.dest + (":int" if a.type is int else "")
+                for a in sub._actions
+                if not a.option_strings
+            ]
+            assert all(a.type in (None, int) for a in sub._actions), name
+            got.append((name, helps[name], positionals))
+        assert got == COMMANDS
+
+    def test_every_command_takes_the_common_options(self):
+        for name, sub in self._subcommands().choices.items():
+            options = [a.option_strings for a in sub._actions if a.option_strings]
+            assert options == [["-h", "--help"], ["--workspace"], ["--json"]], name
+
+    def test_command_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert "required: command" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -535,3 +602,28 @@ class TestBigIntegers:
                 assert sys.get_int_max_str_digits() == 4300
         finally:
             sys.set_int_max_str_digits(previous)
+
+
+class TestReportWork:
+    def test_one_complement_per_sublattice(self, tmp_path, monkeypatch, capsys):
+        # ns_classification returns the complement; report reuses it and
+        # computes one only when the classification fails
+        calls = []
+
+        def counted(L, s):
+            calls.append(s.basis)
+            return orthogonal_complement(L, s)
+
+        monkeypatch.setattr(cli, "orthogonal_complement", counted)
+        monkeypatch.setattr(groups, "orthogonal_complement", counted)
+        for name in ("workspace.json", "errors_workspace.json"):
+            data = json.loads((DATA / name).read_text(encoding="utf-8"))
+            data = {k: data[k] for k in ("lattices", "sublattices")}
+            calls.clear()
+            ws = _workspace_file(tmp_path, data)
+            got = _run(capsys, ["report", "--json", "--workspace", ws])
+            assert got["exit"] == 0
+            items = json.loads(got["stdout"])["items"]
+            built = [i for i in items if i["kind"] == "sublattice" and "error" not in i]
+            assert all("complement_rank" in item for item in built)
+            assert len(calls) == len(built), name
