@@ -150,29 +150,93 @@ def mat_vec(m: Matrix, v: Sequence) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
-def det(m: Matrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in m):
+class SignatureTriple(NamedTuple):
+    """Counts of positive, zero and negative eigenvalues of a real symmetric form."""
+
+    pos: int
+    zero: int
+    neg: int
+
+
+def det(m) -> int:
+    """Exact determinant of a square integer matrix (1 for the empty one)."""
+    if any(len(row) != len(m) for row in m):
         raise LatticeError("determinant requires a square matrix")
+    return _eliminate(as_matrix(m))[1]
+
+
+def _eliminate(m: Matrix) -> tuple[SignatureTriple, int]:
+    """(signature, determinant) of a square integer matrix, without input
+    checks: the one elimination behind ``det``, ``signature``,
+    ``sub_signature`` and ``discriminant``.
+
+    Fraction-free (Bareiss) elimination: the step at pivot p replaces each
+    trailing entry a[i][j] by (p a[i][j] - a[i][k] a[k][j]) / prev, where
+    prev is the previous pivot (1 at first), and the last pivot, with the
+    sign of the row swaps, is the determinant.  A zero pivot a[k][k] is
+    repaired in this order:
+
+    1. swap index k with the first later index j whose diagonal entry is
+       nonzero, in rows and columns (a congruence);
+    2. else add index j into index k, rows and columns, for the first j with
+       a[k][j] + a[j][k] != 0, which makes that sum the pivot (a congruence);
+    3. else swap row k with the first later row j with a[j][k] != 0, which
+       flips the sign of the determinant.  Only non-symmetric input gets
+       here: on a symmetric matrix steps 1 and 2 failing leave row k zero;
+    4. else row and column k are zero: index k counts as a zero and is
+       skipped, and the determinant is 0.
+
+    A pivot counts as positive or negative as p * prev is.  On a symmetric
+    matrix p / prev is the next diagonal entry of an LDL^T of a congruent
+    matrix, so the counts are its inertia (Sylvester's law of inertia).
+
+    Every division is exact.  By Sylvester's identity, after the steps on a
+    set S of indices each trailing entry (i, j) is the bordered minor
+    det A[S + i, S + j] of the current integer matrix A: congruent to the
+    input, or after step 3 equal to it up to row order.  A repair at index k
+    changes only rows and columns >= k, so it leaves A[S, S] alone, and a
+    bordered minor is linear in its last row and in its last column.  So
+    repairing the trailing block gives the same entries as repairing A
+    first and then eliminating: each quotient is again a minor of an
+    integer matrix.  A skipped index stays out of S, and the zero row it
+    leaves in the trailing block, whose determinant is det A times a power
+    of prev, makes det A = 0.
+    """
     a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+    pos = zero = neg = 0
+    sign = prev = 1
+    while a:
+        if not a[0][0]:
+            rest = range(1, len(a))
+            if (j := next((j for j in rest if a[j][j]), None)) is not None:
+                a[0], a[j] = a[j], a[0]
+                for row in a:
+                    row[0], row[j] = row[j], row[0]
+            elif (j := next((j for j in rest if a[0][j] + a[j][0]), None)) is not None:
+                a[0] = [x + y for x, y in zip(a[0], a[j])]
+                for row in a:
+                    row[0] += row[j]
+            elif (j := next((j for j in rest if a[j][0]), None)) is not None:
+                a[0], a[j] = a[j], a[0]
+                sign = -sign
+            else:
+                zero += 1
+                a = [row[1:] for row in a[1:]]
+                continue
+        p, *top = a[0]
+        # a row with 0 under the pivot is only rescaled, by p / prev
+        a = [
+            [(p * y - row[0] * z) // prev for y, z in zip(row[1:], top)] if row[0]
+            else row[1:] if p == prev
+            else [p * y // prev for y in row[1:]]
+            for row in a[1:]
+        ]
+        if (p > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        prev = p
+    return SignatureTriple(pos, zero, neg), 0 if zero else sign * prev
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -302,14 +366,6 @@ def saturation_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[Vect
     return _saturation(_rows(vectors, width), width)
 
 
-class SignatureTriple(NamedTuple):
-    """Counts of positive, zero and negative eigenvalues of a real symmetric form."""
-
-    pos: int
-    zero: int
-    neg: int
-
-
 @dataclass(frozen=True, eq=False)
 class Lattice:
     """A free Z-module of finite rank with an integral symmetric Gram matrix.
@@ -331,8 +387,9 @@ class Lattice:
         object.__setattr__(self, "gram", gram)
 
     @cached_property
-    def _det(self) -> int:
-        return det(self.gram)
+    def _form(self) -> tuple[SignatureTriple, int]:
+        """(signature, determinant) of the Gram matrix, from one elimination."""
+        return _eliminate(self.gram)
 
     @cached_property
     def _gram_support(self) -> list[list[tuple[int, int]]]:
@@ -386,49 +443,10 @@ def norm(L: Lattice, x):
 def signature(L: Lattice) -> SignatureTriple:
     """Exact inertia of the form: (positive, zero, negative) eigenvalue counts.
 
-    Symmetric Gaussian elimination over the rationals.  A zero diagonal
-    pivot is repaired either by swapping in a nonzero diagonal entry from
-    below or, when the whole remaining diagonal vanishes, by adding the
-    row/column of a nonzero off-diagonal entry into the pivot row/column,
-    which makes the pivot twice that entry.
+    Read off the signs of the pivots of one fraction-free integer
+    elimination (``_eliminate``), shared with ``discriminant``.
     """
-    return _inertia(L.gram)
-
-
-def _inertia(gram: Matrix) -> SignatureTriple:
-    """signature on a symmetric integer Gram matrix, without input checks."""
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    pos = zero = neg = 0
-    for i in range(n):
-        if a[i][i] == 0:
-            swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
-            if swap is not None:
-                a[i], a[swap] = a[swap], a[i]
-                for row in a:
-                    row[i], row[swap] = row[swap], row[i]
-            else:
-                off = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-                if off is None:
-                    zero += 1
-                    continue
-                for k in range(n):
-                    a[i][k] += a[off][k]
-                for row in a:
-                    row[i] += row[off]
-        p = a[i][i]
-        for k in range(i + 1, n):
-            if a[k][i]:
-                f = a[k][i] / p
-                for m in range(i, n):
-                    a[k][m] -= f * a[i][m]
-                for m in range(i, n):
-                    a[m][k] -= f * a[m][i]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-    return SignatureTriple(pos, zero, neg)
+    return L._form[0]
 
 
 def direct_sum(l1: Lattice, l2: Lattice, label: str | None = None) -> Lattice:
@@ -454,7 +472,7 @@ def rescale(L: Lattice, k: int, label: str | None = None) -> Lattice:
 
 def discriminant(L: Lattice) -> int:
     """Determinant of the Gram matrix (1 for the rank-0 lattice)."""
-    return L._det
+    return L._form[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -495,6 +513,12 @@ class Sublattice:
         span with the ambient lattice; computed on first use."""
         return self.basis == _saturation(self.basis, self.ambient.rank)
 
+    @cached_property
+    def _form(self) -> tuple[SignatureTriple, int]:
+        """(signature, determinant) of the restricted form, from one
+        elimination of ``gram()``; computed on first use."""
+        return _eliminate(self.gram())
+
     @property
     def rank(self) -> int:
         return len(self.basis)
@@ -531,7 +555,7 @@ def _check_sub(L: Lattice, s: Sublattice) -> None:
 
 def sub_signature(s: Sublattice) -> SignatureTriple:
     """Signature of the ambient form restricted to the sublattice."""
-    return _inertia(s.gram())
+    return s._form[0]
 
 
 def rational_span_leq(inner: Sublattice, outer: Sublattice) -> bool:
@@ -562,7 +586,9 @@ def isometry_violation(L: Lattice, matrix) -> str | None:
     product is formed sparsely: column j of gram . M from the nonzero
     entries of the Gram matrix and of column j.  On a nondegenerate form
     M^T . gram . M = gram already forces det(M)^2 = 1, so the determinant
-    of M is only computed when det(gram) = 0.
+    of M is only computed when det(gram) = 0.  Both determinants come from
+    ``_eliminate``; the lattice's is computed once and kept with its
+    signature.
     """
     return _violation(L, as_matrix(matrix))
 
@@ -588,8 +614,8 @@ def _violation(L: Lattice, m: Matrix) -> str | None:
                     f"q(f(b{i}), f(b{j})) = {got}, "
                     f"expected q(b{i}, b{j}) = {expected[j]}"
                 )
-    if L._det == 0:
-        d = det(m)
+    if L._form[1] == 0:
+        d = _eliminate(m)[1]
         if d not in (1, -1):
             return f"det = {d}, expected 1 or -1"
     return None

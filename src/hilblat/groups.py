@@ -19,7 +19,6 @@ from .core import (
     _kernel,
     _support,
     as_matrix,
-    det,
     discriminant,
     identity_matrix,
     mat_mul,
@@ -204,7 +203,7 @@ def verify_pair_properties(G: IsometryGroup) -> PairReport:
     inv = invariant_sublattice(G)
     co = orthogonal_complement(G.ambient, inv)
     trivial = len(_hnf(inv.basis + co.basis)) == inv.rank + co.rank
-    return PairReport(inv, co, trivial, det(inv.gram()), det(co.gram()))
+    return PairReport(inv, co, trivial, inv._form[1], co._form[1])
 
 
 def transcendental_sublattice(L: Lattice, ns: Sublattice) -> Sublattice:

@@ -5,6 +5,7 @@ from fractions import Fraction
 from hilblat import (
     Lattice,
     LatticeError,
+    SignatureTriple,
     Sublattice,
     det,
     identity_matrix,
@@ -217,3 +218,66 @@ def reference_support(m):
     """The comprehension that listed each row's nonzero (column, value)
     pairs before compress; a test-only reference."""
     return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+
+
+def reference_det(m):
+    """The Bareiss loop that det used before the shared elimination, with
+    row swaps only; a test-only reference."""
+    n = len(m)
+    if n == 0:
+        return 1
+    if any(len(row) != n for row in m):
+        raise LatticeError("determinant requires a square matrix")
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def reference_inertia(gram):
+    """The symmetric LDL^T over Fraction that signature and sub_signature
+    used before the shared elimination; a test-only reference."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    pos = zero = neg = 0
+    for i in range(n):
+        if a[i][i] == 0:
+            swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                a[i], a[swap] = a[swap], a[i]
+                for row in a:
+                    row[i], row[swap] = row[swap], row[i]
+            else:
+                off = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+                if off is None:
+                    zero += 1
+                    continue
+                for k in range(n):
+                    a[i][k] += a[off][k]
+                for row in a:
+                    row[i] += row[off]
+        p = a[i][i]
+        for k in range(i + 1, n):
+            if a[k][i]:
+                f = a[k][i] / p
+                for m in range(i, n):
+                    a[k][m] -= f * a[i][m]
+                for m in range(i, n):
+                    a[m][k] -= f * a[m][i]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+    return SignatureTriple(pos, zero, neg)

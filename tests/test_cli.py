@@ -9,11 +9,14 @@ import pytest
 
 import hilblat
 import hilblat.cli as cli
+import hilblat.core as core
 import hilblat.groups as groups
 from hilblat import (
     LatticeError,
+    Sublattice,
     WorkspaceError,
     closure,
+    det,
     e8_minus,
     hyperbolic_plane,
     identity_isometry,
@@ -627,3 +630,46 @@ class TestReportWork:
             built = [i for i in items if i["kind"] == "sublattice" and "error" not in i]
             assert all("complement_rank" in item for item in built)
             assert len(calls) == len(built), name
+
+    # A fresh process, so that no builtin lattice (U, K3, DOUADY(n), which
+    # are cached) has had its form eliminated before the report runs.
+    _COUNT_ELIMINATIONS = (
+        "import sys\n"
+        "from hilblat import cli, core\n"
+        "seen = []\n"
+        "eliminate = core._eliminate\n"
+        "core._eliminate = lambda m: seen.append(m) or eliminate(m)\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, len(seen), file=sys.stderr)\n"
+    )
+
+    @pytest.mark.parametrize("name, eliminations", [
+        ("workspace.json", 20), ("douady_workspace.json", 1),
+    ])
+    def test_one_elimination_per_form(self, name, eliminations):
+        # each lattice and sublattice eliminates its form once, for its
+        # signature and its determinant together
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(hilblat.__file__).parents[1])
+        child = subprocess.run(
+            [sys.executable, "-c", self._COUNT_ELIMINATIONS,
+             "report", "--workspace", str(DATA / name)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        # the exit code, then the number of eliminations
+        assert child.stderr.split() == ["0", str(eliminations)]
+
+    def test_invariant_eliminates_each_gram_once(self, monkeypatch, capsys):
+        seen = []
+        eliminate = core._eliminate
+        monkeypatch.setattr(core, "_eliminate", lambda m: seen.append(m) or eliminate(m))
+        got = _run(capsys, ["invariant", "swap_group", "--json",
+                            "--workspace", str(DATA / "workspace.json")])
+        monkeypatch.undo()
+        assert got["exit"] == 0
+        payload = json.loads(got["stdout"])
+        L = hyperbolic_plane()
+        for block in ("invariant", "coinvariant"):
+            gram = Sublattice(L, payload[block]["basis"]).gram()
+            assert seen.count(gram) == 1, block
+            assert payload[block]["gram_det"] == det(gram)
