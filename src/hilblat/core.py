@@ -370,13 +370,11 @@ def saturation_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[Vect
 class Lattice:
     """A free Z-module of finite rank with an integral symmetric Gram matrix.
 
-    Rank-0 lattices are legal and act as direct-sum identities.  Labels are
-    display-only and ignored by equality.
+    Rank-0 lattices are legal and act as direct-sum identities.
     """
 
     rank: int
     gram: Matrix
-    label: str | None = None
 
     def __post_init__(self):
         gram = as_matrix(self.gram)
@@ -397,9 +395,9 @@ class Lattice:
         return _support(self.gram)
 
     @classmethod
-    def from_gram(cls, gram, label: str | None = None) -> "Lattice":
+    def from_gram(cls, gram) -> "Lattice":
         gram = as_matrix(gram)
-        return cls(len(gram), gram, label)
+        return cls(len(gram), gram)
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(1 if j == i else 0 for j in range(self.rank))
@@ -413,13 +411,13 @@ class Lattice:
         return hash((self.rank, self.gram))
 
 
-def diagonal_lattice(entries: Sequence[int], label: str | None = None) -> Lattice:
+def diagonal_lattice(entries: Sequence[int]) -> Lattice:
     entries = as_vector(entries)
     n = len(entries)
     gram = tuple(
         tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)
     )
-    return Lattice(n, gram, label)
+    return Lattice(n, gram)
 
 
 def pairing(L: Lattice, x, y):
@@ -449,7 +447,7 @@ def signature(L: Lattice) -> SignatureTriple:
     return L._form[0]
 
 
-def direct_sum(l1: Lattice, l2: Lattice, label: str | None = None) -> Lattice:
+def direct_sum(l1: Lattice, l2: Lattice) -> Lattice:
     """Orthogonal direct sum: block-diagonal Gram matrix."""
     n1, n2 = l1.rank, l2.rank
     gram = [[0] * (n1 + n2) for _ in range(n1 + n2)]
@@ -459,15 +457,15 @@ def direct_sum(l1: Lattice, l2: Lattice, label: str | None = None) -> Lattice:
     for i in range(n2):
         for j in range(n2):
             gram[n1 + i][n1 + j] = l2.gram[i][j]
-    return Lattice(n1 + n2, tuple(tuple(row) for row in gram), label)
+    return Lattice(n1 + n2, tuple(tuple(row) for row in gram))
 
 
-def rescale(L: Lattice, k: int, label: str | None = None) -> Lattice:
+def rescale(L: Lattice, k: int) -> Lattice:
     """Multiply the Gram matrix entrywise by a nonzero integer."""
     if isinstance(k, bool) or not isinstance(k, int) or k == 0:
         raise LatticeError("rescaling factor must be a nonzero integer")
     gram = tuple(tuple(k * x for x in row) for row in L.gram)
-    return Lattice(L.rank, gram, label)
+    return Lattice(L.rank, gram)
 
 
 def discriminant(L: Lattice) -> int:

@@ -72,7 +72,7 @@ _E8_EDGES = ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7))
 @cache
 def hyperbolic_plane() -> Lattice:
     """The even unimodular rank-2 lattice U with Gram [[0,1],[1,0]]."""
-    return Lattice.from_gram(((0, 1), (1, 0)), label="U")
+    return Lattice.from_gram(((0, 1), (1, 0)))
 
 
 @cache
@@ -81,12 +81,12 @@ def e8_lattice() -> Lattice:
     gram = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
     for i, j in _E8_EDGES:
         gram[i][j] = gram[j][i] = -1
-    return Lattice.from_gram(gram, label="E8")
+    return Lattice.from_gram(gram)
 
 
 @cache
 def e8_minus() -> Lattice:
-    return rescale(e8_lattice(), -1, label="E8_MINUS")
+    return rescale(e8_lattice(), -1)
 
 
 @cache
@@ -100,7 +100,7 @@ def k3_lattice() -> Lattice:
     L = blocks[0]
     for block in blocks[1:]:
         L = direct_sum(L, block)
-    return Lattice(K3_RANK, L.gram, label="K3")
+    return L
 
 
 def _points(n) -> int:
@@ -194,7 +194,7 @@ class DouadyLattice(ExceptionalPair):
 def douady_lattice(n: int) -> DouadyLattice:
     """Build the rank-23 lattice for the Douady space of n points (n >= 2)."""
     corner = diagonal_lattice((-2 * (_points(n) - 1),))
-    full = direct_sum(k3_lattice(), corner, label=f"DOUADY({n})")
+    full = direct_sum(k3_lattice(), corner)
     return DouadyLattice(n, full)
 
 
@@ -427,8 +427,6 @@ def beauville_fixture() -> tuple[ExceptionalPair, Matrix]:
     class with q(e) = -8.  The involution sends h to 3h - 2e and e to
     4h - 3e; it is an isometry of index -3 and is not natural.
     """
-    pair = ExceptionalPair(
-        diagonal_lattice((4, -8), label="quartic-P2"), (0, 1)
-    )
+    pair = ExceptionalPair(diagonal_lattice((4, -8)), (0, 1))
     involution = ((3, 4), (-2, -3))
     return pair, involution

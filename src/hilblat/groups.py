@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from .core import (
@@ -60,7 +61,11 @@ def _plain_lattice(target) -> Lattice:
 
 @dataclass(frozen=True, eq=False)
 class IsometryGroup:
-    """A finite isometry group, fully enumerated and sorted for determinism."""
+    """A finite isometry group, fully enumerated and sorted for determinism.
+
+    Its fixed sublattice and the orthogonal complement of that are
+    computed once, on first use, and shared by every reader.
+    """
 
     ambient: Lattice
     elements: tuple[Matrix, ...]
@@ -69,6 +74,26 @@ class IsometryGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def _invariant(self) -> Sublattice:
+        """Saturated sublattice of vectors fixed by every group element.
+
+        Computed as the integer kernel of the stacked matrices g - I over
+        the generators only: a vector fixed by all generators is fixed by
+        the whole group.
+        """
+        n = self.ambient.rank
+        rows = []
+        for g in self.generators:
+            for i in range(n):
+                rows.append(tuple(g[i][j] - (1 if i == j else 0) for j in range(n)))
+        return Sublattice._trusted(self.ambient, _kernel(rows, n))
+
+    @cached_property
+    def _coinvariant(self) -> Sublattice:
+        """Orthogonal complement of the fixed sublattice; saturated and G-stable."""
+        return orthogonal_complement(self.ambient, self._invariant)
 
     def __contains__(self, matrix) -> bool:
         return as_matrix(matrix) in self.elements
@@ -95,8 +120,11 @@ def closure(target, generators, cap: int = DEFAULT_CLOSURE_CAP) -> IsometryGroup
 
     Raises once the orbit of one basis vector, or the number of elements,
     would exceed ``cap``; either signals an infinite or oversized group,
-    since |G| >= |G e_j|.
+    since |G| >= |G e_j|.  ``cap`` must be a positive ``int`` (not a
+    ``bool``).
     """
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise LatticeError(f"the enumeration cap must be a positive integer, got {cap!r}")
     L = _plain_lattice(target)
     n = L.rank
     gens = [_isometry_matrix(L, g, "generator") for g in generators]
@@ -145,23 +173,13 @@ def closure(target, generators, cap: int = DEFAULT_CLOSURE_CAP) -> IsometryGroup
 
 
 def invariant_sublattice(G: IsometryGroup) -> Sublattice:
-    """Saturated sublattice of vectors fixed by every group element.
-
-    Computed as the integer kernel of the stacked matrices g - I over the
-    generators only: a vector fixed by all generators is fixed by the
-    whole group.
-    """
-    n = G.ambient.rank
-    rows = []
-    for g in G.generators:
-        for i in range(n):
-            rows.append(tuple(g[i][j] - (1 if i == j else 0) for j in range(n)))
-    return Sublattice._trusted(G.ambient, _kernel(rows, n))
+    """Saturated sublattice of vectors fixed by every group element."""
+    return G._invariant
 
 
 def coinvariant_sublattice(G: IsometryGroup) -> Sublattice:
     """Orthogonal complement of the fixed sublattice; saturated and G-stable."""
-    return orthogonal_complement(G.ambient, invariant_sublattice(G))
+    return G._coinvariant
 
 
 @dataclass(frozen=True)
@@ -200,8 +218,7 @@ def verify_pair_properties(G: IsometryGroup) -> PairReport:
     """
     if discriminant(G.ambient) == 0:
         raise LatticeError("ambient Gram matrix must be nondegenerate")
-    inv = invariant_sublattice(G)
-    co = orthogonal_complement(G.ambient, inv)
+    inv, co = G._invariant, G._coinvariant
     trivial = len(_hnf(inv.basis + co.basis)) == inv.rank + co.rank
     return PairReport(inv, co, trivial, inv._form[1], co._form[1])
 
@@ -360,11 +377,9 @@ def symplectic_action_report(
     _generator_images(G, ns, "the Neron-Severi block is not stable under the group")
     cls = ns_classification(amb, ns)
     tr = cls.transcendental
-    inv = invariant_sublattice(G)
-    co = orthogonal_complement(amb, inv)
-    co_sig = sub_signature(co)
+    inv, co = G._invariant, G._coinvariant
     negdef = (
-        co_sig == (0, 0, co.rank)
+        is_negative_definite(co)
         if cls.ns_type in (NSType.PARABOLIC, NSType.ELLIPTIC)
         else None
     )
@@ -375,5 +390,5 @@ def symplectic_action_report(
         transcendental_in_invariant=rational_span_leq(tr, inv),
         coinvariant_in_ns=rational_span_leq(co, ns),
         coinvariant_negative_definite=negdef,
-        coinvariant_signature=co_sig,
+        coinvariant_signature=sub_signature(co),
     )

@@ -40,7 +40,7 @@ from .douady import (
     hyperbolic_plane,
     k3_lattice,
 )
-from .groups import DEFAULT_CLOSURE_CAP
+from .groups import DEFAULT_CLOSURE_CAP, _plain_lattice
 
 __all__ = [
     "Workspace",
@@ -146,8 +146,7 @@ class Workspace:
         return builtin
 
     def lattice(self, name: str) -> Lattice:
-        entry = self.entry(name)
-        return entry.lattice if isinstance(entry, ExceptionalPair) else entry
+        return _plain_lattice(self.entry(name))
 
     def exceptional(self, name: str) -> ExceptionalPair:
         entry = self.entry(name)
@@ -196,7 +195,7 @@ def _parse_lattice(name: str, value) -> LatticeEntry:
     if len(gram) and len(gram[0]) != len(gram):
         raise WorkspaceError(f"{where}.gram: matrix is not square")
     try:
-        lattice = Lattice(len(gram), gram, label=name)
+        lattice = Lattice(len(gram), gram)
     except ValueError as exc:
         raise WorkspaceError(f"{where}.gram: {exc}") from exc
     if "e" not in value:

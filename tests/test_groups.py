@@ -113,6 +113,14 @@ class TestClosure:
         with pytest.raises(LatticeError):
             closure(U, [((1, 1), (0, 1))])
 
+    @pytest.mark.parametrize("gens", [[SWAP], []])
+    @pytest.mark.parametrize("cap", ["3", 1.5, True, False, 0, -1, None])
+    def test_cap_must_be_a_positive_int(self, gens, cap):
+        message = f"the enumeration cap must be a positive integer, got {cap!r}"
+        with pytest.raises(LatticeError) as err:
+            closure(U, gens, cap=cap)
+        assert str(err.value) == message
+
 
 def _e(i):
     return tuple(1 if k == i else 0 for k in range(22))
@@ -479,6 +487,37 @@ class TestStabilityChecks:
         assert rep.fixes_transcendental_pointwise and rep.all_verified
         assert len(hnf_calls) <= 2
         assert contains_calls == []
+
+
+class TestOnePairPerGroup:
+    """L^G and L_G are derived once per group and shared by all readers."""
+
+    def test_each_reader_sees_the_same_pair(self):
+        G = closure(U, [SWAP])
+        rep = verify_pair_properties(G)
+        assert invariant_sublattice(G) is rep.invariant
+        assert coinvariant_sublattice(G) is rep.coinvariant
+
+    def test_three_kernels_across_the_four_readers(self, monkeypatch):
+        D = douady_lattice(2)
+        gens = [natural_lift(D, reflection_isometry(K3, _e(i))).matrix for i in (6, 8)]
+        G = closure(D.full, gens)  # W(A2) on two roots of E8(-1)
+        ns = Sublattice(D.full, [_e(6) + (0,), _e(8) + (0,), D.delta])
+        calls = []
+        real = core._kernel
+
+        def kernel(rows, width):
+            calls.append(rows)
+            return real(rows, width)
+
+        monkeypatch.setattr(core, "_kernel", kernel)
+        monkeypatch.setattr(groups, "_kernel", kernel)
+        inv, co = invariant_sublattice(G), coinvariant_sublattice(G)
+        assert verify_pair_properties(G).all_pass
+        assert symplectic_action_report(D, G, ns).all_verified
+        # one kernel each for L^G, L_G and the transcendental block NS-perp
+        assert len(calls) == 3
+        assert (inv.rank, co.rank) == (21, 2)
 
 
 class TestNegativeDefinite:
