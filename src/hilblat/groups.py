@@ -3,17 +3,20 @@ sublattices, and signature-type classification of Picard blocks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import sub
 from typing import Optional
 
 from .core import (
+    Isometry,
     Lattice,
     LatticeError,
     Matrix,
     SignatureTriple,
     Sublattice,
+    Vector,
     _combine,
     _hnf,
     _isometry_matrix,
@@ -61,19 +64,31 @@ def _plain_lattice(target) -> Lattice:
 
 @dataclass(frozen=True, eq=False)
 class IsometryGroup:
-    """A finite isometry group, fully enumerated and sorted for determinism.
+    """A finite isometry group, held as the permutations it induces on the
+    orbit of the basis vectors.
 
-    Its fixed sublattice and the orthogonal complement of that are
+    Each element is the tuple of the orbit indices of its columns, so the
+    order and membership are read off these tuples.  The sorted tuple of
+    element matrices is built only when ``elements`` is first read.  The
+    fixed sublattice and the orthogonal complement of that are likewise
     computed once, on first use, and shared by every reader.
     """
 
     ambient: Lattice
-    elements: tuple[Matrix, ...]
     generators: tuple[Matrix, ...]
+    # orbit point -> its index, in index order
+    _index: dict[Vector, int] = field(repr=False)
+    _tuples: frozenset[tuple[int, ...]] = field(repr=False)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._tuples)
+
+    @cached_property
+    def elements(self) -> tuple[Matrix, ...]:
+        """Every element's matrix, sorted for determinism."""
+        points = list(self._index)
+        return tuple(sorted(tuple(zip(*map(points.__getitem__, a))) for a in self._tuples))
 
     @cached_property
     def _invariant(self) -> Sublattice:
@@ -84,10 +99,12 @@ class IsometryGroup:
         the whole group.
         """
         n = self.ambient.rank
-        rows = []
-        for g in self.generators:
-            for i in range(n):
-                rows.append(tuple(g[i][j] - (1 if i == j else 0) for j in range(n)))
+        identity = identity_matrix(n)
+        rows = [
+            tuple(map(sub, row, unit))
+            for g in self.generators
+            for row, unit in zip(g, identity)
+        ]
         return Sublattice._trusted(self.ambient, _kernel(rows, n))
 
     @cached_property
@@ -95,8 +112,23 @@ class IsometryGroup:
         """Orthogonal complement of the fixed sublattice; saturated and G-stable."""
         return orthogonal_complement(self.ambient, self._invariant)
 
-    def __contains__(self, matrix) -> bool:
-        return as_matrix(matrix) in self.elements
+    def __contains__(self, g) -> bool:
+        """Whether ``g``, an Isometry or a raw integer matrix, is an element.
+
+        An Isometry of another lattice, or a matrix of the wrong shape, is
+        not; a raw matrix with a bad entry raises.
+        """
+        if isinstance(g, Isometry):
+            if g.ambient != self.ambient:
+                return False
+            m = g.matrix
+        else:
+            m = as_matrix(g)
+        n = self.ambient.rank
+        if len(m) != n or (m and len(m[0]) != n):
+            return False
+        # a column outside the orbit maps to None, which no element holds
+        return tuple(map(self._index.get, zip(*m))) in self._tuples
 
     def __eq__(self, other):
         if not isinstance(other, IsometryGroup):
@@ -116,7 +148,8 @@ def closure(target, generators, cap: int = DEFAULT_CLOSURE_CAP) -> IsometryGroup
     v_j times column j of g over the nonzero v_j.  Each element is stored
     as the n-tuple of the orbit indices of its columns, so that a product
     with a generator is n list lookups.  The breadth-first search runs on
-    these tuples, and each element's matrix is built once at the end.
+    these tuples, and the group keeps them: no matrix is built here, and
+    ``elements`` builds the matrices from the tuples on first read.
 
     Raises once the orbit of one basis vector, or the number of elements,
     would exceed ``cap``; either signals an infinite or oversized group,
@@ -168,8 +201,7 @@ def closure(target, generators, cap: int = DEFAULT_CLOSURE_CAP) -> IsometryGroup
                     elements.add(c)
                     fresh.append(c)
         frontier = fresh
-    matrices = sorted(tuple(zip(*map(points.__getitem__, a))) for a in elements)
-    return IsometryGroup(L, tuple(matrices), tuple(gens))
+    return IsometryGroup(L, tuple(gens), index, frozenset(elements))
 
 
 def invariant_sublattice(G: IsometryGroup) -> Sublattice:

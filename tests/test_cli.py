@@ -659,6 +659,33 @@ class TestReportWork:
         # the exit code, then the number of eliminations
         assert child.stderr.split() == ["0", str(eliminations)]
 
+    # A fresh process, so that the groups the command builds are the only
+    # ones seen; each reports whether it built its element matrices.
+    _COUNT_BUILT_ELEMENTS = (
+        "import sys\n"
+        "from hilblat import cli\n"
+        "made = []\n"
+        "closure = cli.closure\n"
+        "cli.closure = lambda *a, **k: made.append(closure(*a, **k)) or made[-1]\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, len(made), sum('elements' in G.__dict__ for G in made), file=sys.stderr)\n"
+    )
+
+    @pytest.mark.parametrize("argv, groups", [
+        (["invariant", "swap_group"], 1), (["invariant", "swap_group", "--json"], 1),
+        (["report"], 2), (["report", "--json"], 2),
+    ])
+    def test_groups_never_build_their_elements(self, argv, groups):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(hilblat.__file__).parents[1])
+        child = subprocess.run(
+            [sys.executable, "-c", self._COUNT_BUILT_ELEMENTS,
+             *argv, "--workspace", str(DATA / "workspace.json")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        # the exit code, the groups built, and how many built their matrices
+        assert child.stderr.split() == ["0", str(groups), "0"]
+
     def test_invariant_eliminates_each_gram_once(self, monkeypatch, capsys):
         seen = []
         eliminate = core._eliminate

@@ -29,6 +29,7 @@ from hilblat import (
     full_sublattice,
     hermite_basis,
     hyperbolic_plane,
+    identity_isometry,
     identity_matrix,
     integer_kernel,
     invariant_sublattice,
@@ -82,7 +83,11 @@ class TestClosure:
         UU = direct_sum(U, U)
         s1 = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
         s2 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
-        assert closure(UU, [s1, s2]).elements == closure(UU, [s2, s1]).elements
+        G, H = closure(UU, [s1, s2]), closure(UU, [s2, s1])
+        assert G.elements == H.elements
+        # the orbit is indexed in a different order, yet the groups are equal
+        assert G == H and hash(G) == hash(H)
+        assert G != closure(UU, [s1]) and G != closure(direct_sum(UU, U), [])
 
     def test_closed_under_inverse(self):
         G = closure(U, [SWAP, ((-1, 0), (0, -1))])
@@ -211,9 +216,11 @@ class TestPermutationClosure:
         L = Lattice(0, ())
         for gens in ([], [()], [(), ()]):
             G = closure(L, gens)
-            assert G.elements == ((),)
             assert G.order == 1
-            assert () in G
+            assert () in G and [] in G
+            assert ((),) not in G and ((1,),) not in G
+            assert "elements" not in G.__dict__
+            assert G.elements == ((),)
 
     def test_membership(self):
         gens = [reflection_isometry(K3, _e(i)) for i in (6, 8)]  # W(A2)
@@ -224,6 +231,42 @@ class TestPermutationClosure:
         assert tuple(tuple(-x for x in row) for row in identity_matrix(22)) not in G
         with pytest.raises(LatticeError):
             ((0.5,),) in G
+
+    def test_isometry_membership(self):
+        r6, r8 = (reflection_isometry(K3, _e(i)) for i in (6, 8))
+        G = closure(K3, [r6, r8])
+        assert r6 in G and r6 * r8 * r6 in G
+        assert reflection_isometry(K3, _e(10)) not in G
+        # an isometry of another lattice is not a member, whatever its matrix
+        D = douady_lattice(2)
+        assert reflection_isometry(D.full, _e(6) + (0,)) not in G
+        assert identity_isometry(U) not in closure(K3, [])
+        assert identity_isometry(U) in closure(U, [])
+
+    def test_non_members_with_every_column_in_the_orbit(self):
+        G = closure(K3, [reflection_isometry(K3, _e(i)) for i in (6, 8)])
+        r6 = reflection_isometry(K3, _e(6)).matrix
+        for a, b in ((0, 1), (0, 6), (6, 8), (7, 8)):
+            for g in (identity_matrix(22), r6):
+                # g with columns a and b swapped: the same orbit points
+                cols = list(zip(*g))
+                cols[a], cols[b] = cols[b], cols[a]
+                assert tuple(zip(*cols)) not in G
+        assert "elements" not in G.__dict__
+
+    def test_column_outside_the_orbit_and_wrong_shapes(self):
+        G = closure(K3, [reflection_isometry(K3, _e(i)) for i in (6, 8)])
+        shear = [list(row) for row in identity_matrix(22)]
+        shear[1][0] = 1  # column 0 becomes e_0 + e_1, outside the orbit
+        assert shear not in G
+        assert tuple(tuple(2 * x for x in row) for row in identity_matrix(22)) not in G
+        for m in (identity_matrix(21), identity_matrix(23), SWAP, (), ((),),
+                  identity_matrix(22)[:21], tuple(row[:21] for row in identity_matrix(22))):
+            assert m not in G
+        for bad in (((1, 2), (3,)), [[True] * 22] * 22):
+            with pytest.raises(LatticeError):
+                bad in G
+        assert "elements" not in G.__dict__
 
     def test_no_matrix_products(self, monkeypatch):
         D = douady_lattice(2)
@@ -241,6 +284,55 @@ class TestPermutationClosure:
         assert closure(K3, weyl).order == 240
         assert closure(D, lifts).order == 240
         assert calls == []
+
+
+class TestLazyElements:
+    """closure keeps each element as the tuple of the orbit indices of its
+    columns; the matrices are built only when G.elements is read."""
+
+    def test_readers_leave_elements_unbuilt(self):
+        D = douady_lattice(2)
+        gens = [natural_lift(D, reflection_isometry(K3, _e(i))).matrix for i in (6, 8)]
+        G = closure(D.full, gens)  # W(A2) on two roots of E8(-1)
+        ns = Sublattice(D.full, [_e(6) + (0,), _e(8) + (0,), D.delta])
+        assert G.order == 6
+        assert invariant_sublattice(G).rank == 21
+        assert coinvariant_sublattice(G).rank == 2
+        assert verify_pair_properties(G).all_pass
+        assert symplectic_action_report(D, G, ns).all_verified
+        assert gens[0] in G and mat_mul(gens[0], gens[1]) in G
+        assert identity_matrix(23) in G and SWAP not in G
+        assert "elements" not in G.__dict__
+        assert len(G.elements) == 6 and "elements" in G.__dict__
+
+    def test_repr_leaves_out_the_orbit(self):
+        G = closure(U, [SWAP])
+        assert "_index" not in repr(G) and "_tuples" not in repr(G)
+        assert "elements" not in G.__dict__
+
+
+class TestLargeGroups:
+    """Orders far above the fixed-lattice groups, read off the index tuples;
+    neither test reads G.elements."""
+
+    def test_weyl_a6_on_the_first_e8(self):
+        gens = [reflection_isometry(K3, _e(i)).matrix for i in (6, 8, 9, 10, 11, 12)]
+        G = closure(K3, gens)
+        assert G.order == 5040
+        for a, b in itertools.combinations(gens, 2):
+            assert mat_mul(a, b) in G
+        assert mat_mul(gens[0], mat_mul(gens[3], gens[5])) in G
+        assert reflection_isometry(K3, _e(7)).matrix not in G
+        assert "elements" not in G.__dict__
+
+    def test_weyl_e6_at_its_order(self):
+        gens = [reflection_isometry(K3, _e(i)).matrix for i in range(6, 12)]
+        G = closure(K3, gens, cap=51840)
+        assert G.order == 51840
+        assert "elements" not in G.__dict__
+        with pytest.raises(LatticeError) as err:
+            closure(K3, gens, cap=51839)
+        assert str(err.value) == CAP_MESSAGE.format(51839)
 
 
 class TestInvariantSublattice:
@@ -513,6 +605,10 @@ class TestOnePairPerGroup:
         monkeypatch.setattr(core, "_kernel", kernel)
         monkeypatch.setattr(groups, "_kernel", kernel)
         inv, co = invariant_sublattice(G), coinvariant_sublattice(G)
+        assert calls[0] == [
+            tuple(g[i][j] - (1 if i == j else 0) for j in range(23))
+            for g in gens for i in range(23)
+        ]
         assert verify_pair_properties(G).all_pass
         assert symplectic_action_report(D, G, ns).all_verified
         # one kernel each for L^G, L_G and the transcendental block NS-perp
