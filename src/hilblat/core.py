@@ -366,7 +366,7 @@ def saturation_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[Vect
     return _saturation(_rows(vectors, width), width)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Lattice:
     """A free Z-module of finite rank with an integral symmetric Gram matrix.
 
@@ -401,14 +401,6 @@ class Lattice:
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(1 if j == i else 0 for j in range(self.rank))
-
-    def __eq__(self, other):
-        if not isinstance(other, Lattice):
-            return NotImplemented
-        return self.rank == other.rank and self.gram == other.gram
-
-    def __hash__(self):
-        return hash((self.rank, self.gram))
 
 
 def diagonal_lattice(entries: Sequence[int]) -> Lattice:
@@ -473,7 +465,7 @@ def discriminant(L: Lattice) -> int:
     return L._form[1]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Sublattice:
     """A finitely generated sublattice, stored on a canonical Hermite basis.
 
@@ -532,14 +524,6 @@ class Sublattice:
 
     def rational_span_contains(self, v) -> bool:
         return len(_hnf([*self.basis, *_rows([v], self.ambient.rank)])) == self.rank
-
-    def __eq__(self, other):
-        if not isinstance(other, Sublattice):
-            return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.ambient, self.basis))
 
 
 def full_sublattice(L: Lattice) -> Sublattice:
@@ -624,7 +608,7 @@ def is_isometry(L: Lattice, matrix) -> bool:
     return isometry_violation(L, matrix) is None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Isometry:
     """A Gram-preserving integer matrix acting on lattice coordinates.
 
@@ -662,14 +646,6 @@ class Isometry:
         if other.ambient != self.ambient:
             raise LatticeError("isometries act on different lattices")
         return Isometry._trusted(self.ambient, mat_mul(self.matrix, other.matrix))
-
-    def __eq__(self, other):
-        if not isinstance(other, Isometry):
-            return NotImplemented
-        return self.ambient == other.ambient and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash((self.ambient, self.matrix))
 
 
 def _isometry_matrix(L: Lattice, f, role: str = "isometry") -> Matrix:

@@ -192,10 +192,17 @@ class DouadyLattice(ExceptionalPair):
 
 
 def douady_lattice(n: int) -> DouadyLattice:
-    """Build the rank-23 lattice for the Douady space of n points (n >= 2)."""
-    corner = diagonal_lattice((-2 * (_points(n) - 1),))
-    full = direct_sum(k3_lattice(), corner)
-    return DouadyLattice(n, full)
+    """The rank-23 lattice for the Douady space of n points (n >= 2), built
+    once per n."""
+    # checked before the cache, so that 2.0, True or an unhashable value is
+    # refused with LatticeError whatever has been built
+    return _douady_lattice(_points(n))
+
+
+@cache
+def _douady_lattice(n: int) -> DouadyLattice:
+    corner = diagonal_lattice((-2 * (n - 1),))
+    return DouadyLattice(n, direct_sum(k3_lattice(), corner))
 
 
 def _target(D) -> tuple[Lattice, Vector]:

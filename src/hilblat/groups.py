@@ -72,6 +72,11 @@ class IsometryGroup:
     element matrices is built only when ``elements`` is first read.  The
     fixed sublattice and the orthogonal complement of that are likewise
     computed once, on first use, and shared by every reader.
+
+    Two groups are equal when they act on the same lattice, have the same
+    order, and every generator of one is an element of the other; the hash
+    is that of the lattice and the order.  Comparing or hashing groups
+    builds no element matrix.
     """
 
     ambient: Lattice
@@ -133,10 +138,15 @@ class IsometryGroup:
     def __eq__(self, other):
         if not isinstance(other, IsometryGroup):
             return NotImplemented
-        return self.ambient == other.ambient and self.elements == other.elements
+        # <gens of other> <= self and |other| = |self| give other = self
+        return (
+            self.ambient == other.ambient
+            and self.order == other.order
+            and all(g in self for g in other.generators)
+        )
 
     def __hash__(self):
-        return hash((self.ambient, self.elements))
+        return hash((self.ambient, self.order))
 
 
 def closure(target, generators, cap: int = DEFAULT_CLOSURE_CAP) -> IsometryGroup:

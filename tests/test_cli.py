@@ -645,6 +645,8 @@ class TestReportWork:
 
     @pytest.mark.parametrize("name, eliminations", [
         ("workspace.json", 20), ("douady_workspace.json", 1),
+        # every vector and isometry names DOUADY(2) itself, not an alias
+        ("douady_named_workspace.json", 1),
     ])
     def test_one_elimination_per_form(self, name, eliminations):
         # each lattice and sublattice eliminates its form once, for its

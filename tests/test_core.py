@@ -11,6 +11,7 @@ from helpers import (
     random_symmetric_gram,
 )
 from hilblat import (
+    Isometry,
     Lattice,
     LatticeError,
     Sublattice,
@@ -407,3 +408,41 @@ class TestSublattice:
         assert S.contains((4, 0))
         assert not S.contains((1, 0))
         assert S.rational_span_contains((1, 0))
+
+
+class TestValueContract:
+    """Lattice, Sublattice and Isometry are equal exactly when their fields
+    are, and hash their field tuple."""
+
+    def test_lattice(self):
+        a, b = Lattice(2, ((0, 1), (1, 0))), Lattice.from_gram([[0, 1], [1, 0]])
+        signature(a)  # a cached form is not part of the value
+        assert a == b and hash(a) == hash(b) and a == U
+        assert hash(a) == hash((a.rank, a.gram))
+        assert a != Lattice(2, ((0, 1), (1, 2))) and a != Lattice(1, ((0,),))
+        assert a.__eq__(object()) is NotImplemented
+
+    def test_sublattice(self):
+        a = Sublattice(U, [(0, 2), (1, 3)])
+        b = Sublattice._trusted(U, a.basis)
+        assert a == b and hash(a) == hash(b)
+        assert a == Sublattice(U, [(1, 1), (0, 2)])
+        assert hash(a) == hash((a.ambient, a.basis))
+        assert a != Sublattice(U, [(1, 1), (0, 1)])
+        assert a != Sublattice(rescale(U, 2), a.basis)
+        assert a.__eq__(object()) is NotImplemented
+
+    def test_isometry(self):
+        swap = ((0, 1), (1, 0))
+        a, b = Isometry(U, [[0, 1], [1, 0]]), Isometry._trusted(U, swap)
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((a.ambient, a.matrix))
+        assert a != Isometry(U, identity_matrix(2))
+        assert a != Isometry(rescale(U, 2), swap)
+        assert a.__eq__(object()) is NotImplemented
+
+    def test_types_never_compare_equal(self):
+        L = Lattice(0, ())
+        values = [L, Sublattice(L, []), Isometry(L, ())]
+        for x, y in itertools.permutations(values, 2):
+            assert x != y and x.__eq__(y) is NotImplemented

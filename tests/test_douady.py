@@ -83,6 +83,15 @@ class TestDouadyLattice:
         with pytest.raises(LatticeError):
             douady_lattice(1)
 
+    def test_built_once_per_n(self):
+        assert douady_lattice(2) is douady_lattice(2)
+        assert douady_lattice(3) is not douady_lattice(2)
+        # 2.0 and True equal 2 and hash like it, yet stay refused once
+        # DOUADY(2) is cached; so does a value the cache could not hash
+        for bad in (2.0, True, [2], "2"):
+            with pytest.raises(LatticeError):
+                douady_lattice(bad)
+
     def test_discriminant(self):
         assert discriminant(D2.full) == 2
 

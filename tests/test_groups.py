@@ -311,6 +311,74 @@ class TestLazyElements:
         assert "elements" not in G.__dict__
 
 
+def _identity_pool():
+    """Isometries of U + U + <-2> + <-2>, on the basis (e1, f1, e2, f2, d1, d2)."""
+    L = direct_sum(direct_sum(U, U), diagonal_lattice((-2, -2)))
+
+    def permutation(*images):
+        return tuple(tuple(int(images[j] == i) for j in range(6)) for i in range(6))
+
+    negate_d1 = tuple(
+        tuple(-x if i == j == 4 else x for j, x in enumerate(row))
+        for i, row in enumerate(identity_matrix(6))
+    )
+    pool = [
+        permutation(1, 0, 2, 3, 4, 5),  # swap e1, f1
+        permutation(0, 1, 3, 2, 4, 5),  # swap e2, f2
+        permutation(2, 3, 0, 1, 4, 5),  # swap the two planes
+        permutation(0, 1, 2, 3, 5, 4),  # swap d1, d2
+        negate_d1,
+        tuple(tuple(-x for x in row) for row in identity_matrix(6)),
+        reflection_isometry(L, (1, 1, 0, 0, 0, 0)).matrix,  # e1 -> -f1
+        reflection_isometry(L, (1, 0, 0, 0, 1, 0)).matrix,  # in the root e1 + d1
+    ]
+    return L, pool
+
+
+class TestGroupIdentity:
+    """Two groups are equal when they share the lattice, the order and each
+    other's generators; neither == nor hash reads G.elements."""
+
+    def test_agrees_with_the_element_matrices(self):
+        L, pool = _identity_pool()
+        rng = random.Random(14)
+        groups_ = []
+        for _ in range(40):
+            gens = rng.sample(pool, rng.randint(0, 3))
+            try:
+                groups_.append(closure(L, gens, cap=64))
+            except LatticeError:  # the root reflection can make it infinite
+                continue
+        tally = {True: 0, False: 0}
+        for G, H in itertools.product(groups_, repeat=2):
+            equal = G == H
+            assert (G != H) is not equal
+            if equal:
+                assert hash(G) == hash(H)
+            if G.order == H.order:
+                tally[equal] += 1
+            assert equal == (G.elements == H.elements)
+        # both outcomes occur among groups of equal order
+        assert tally[True] > len(groups_) and tally[False] > 0
+
+    def test_distinct_groups_of_equal_order(self):
+        UU = direct_sum(U, U)
+        s1 = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        s2 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+        G, H = closure(UU, [s1]), closure(UU, [s2])
+        assert G.order == H.order == 2
+        assert G != H and not G == H and len({G, H}) == 2
+        assert G == closure(UU, [s1, s1]) and G.__eq__(U) is NotImplemented
+
+    def test_comparing_and_hashing_leave_elements_unbuilt(self):
+        L, pool = _identity_pool()
+        G, H = closure(L, pool[:3]), closure(L, pool[2::-1])
+        K = closure(L, pool[3:5])
+        assert G == H and not G != H and G != K
+        assert hash(G) == hash(H) and len({G, H, K}) == 2
+        assert all("elements" not in X.__dict__ for X in (G, H, K))
+
+
 class TestLargeGroups:
     """Orders far above the fixed-lattice groups, read off the index tuples;
     neither test reads G.elements."""
@@ -333,6 +401,12 @@ class TestLargeGroups:
         with pytest.raises(LatticeError) as err:
             closure(K3, gens, cap=51839)
         assert str(err.value) == CAP_MESSAGE.format(51839)
+
+    def test_weyl_e6_equals_itself_with_generators_reversed(self):
+        gens = [reflection_isometry(K3, _e(i)).matrix for i in range(6, 12)]
+        G, H = closure(K3, gens, cap=51840), closure(K3, gens[::-1], cap=51840)
+        assert G == H and hash(G) == hash(H)
+        assert "elements" not in G.__dict__ and "elements" not in H.__dict__
 
 
 class TestInvariantSublattice:
