@@ -380,6 +380,8 @@ class Lattice:
         gram = as_matrix(self.gram)
         if len(gram) != self.rank or any(len(row) != self.rank for row in gram):
             raise LatticeError(f"Gram matrix must be {self.rank}x{self.rank}")
+        if isinstance(self.rank, bool) or not isinstance(self.rank, int):
+            raise LatticeError(f"rank must be an int, got {self.rank!r}")
         if gram != transpose(gram):
             raise LatticeError("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", gram)

@@ -20,10 +20,14 @@ A lattice entry is either an inline object with a "gram" matrix (plus an
 optional "e" vector designating an exceptional class in its last
 coordinate) or a string naming a builtin: "U", "E8_MINUS", "K3" or
 "DOUADY(n)" with n >= 2.  DOUADY(n) lattices come with their exceptional
-class built in.  Structural problems (a file that is not UTF-8, bad or too
-deeply nested JSON, unresolved or non-string names, ragged or non-integer
-matrices, length mismatches) raise WorkspaceError;
-mathematical failures surface later, when an operation runs.
+class built in.  A name must be Unicode text: a string with no lone
+surrogate, so that every report can print it.  Structural problems (a file
+that is not UTF-8, bad or too deeply nested JSON, unresolved or non-string
+names, ragged or non-integer matrices, length mismatches) raise
+WorkspaceError, and so does an integer longer than
+sys.get_int_max_str_digits() digits unless the caller lifts that cap, as
+the command line does; mathematical failures surface later, when an
+operation runs.
 """
 
 from __future__ import annotations
@@ -49,7 +53,11 @@ __all__ = [
     "parse_workspace",
 ]
 
-_DOUADY_RE = re.compile(r"^DOUADY\((-?\d+)\)$")
+_DOUADY_RE = re.compile(r"DOUADY\((-?\d+)\)")
+# the five sections, in the order they are checked and parsed
+_SECTIONS = ("lattices", "vectors", "sublattices", "isometries", "groups")
+# a str encodes as UTF-8 unless it holds a surrogate code point
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 LatticeEntry = Lattice | ExceptionalPair
 
@@ -59,12 +67,13 @@ class WorkspaceError(ValueError):
 
 
 def _int(value, where: str) -> int:
-    if isinstance(value, bool):
-        raise WorkspaceError(f"{where}: expected an integer, got {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and re.fullmatch(r"-?\d+", value):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+            raise WorkspaceError(f"{where}: {exc}") from None
     raise WorkspaceError(f"{where}: expected an integer, got {value!r}")
 
 
@@ -111,17 +120,16 @@ class NamedGroup:
     cap: int
 
 
+_BUILTINS = {"U": hyperbolic_plane, "E8_MINUS": e8_minus, "K3": k3_lattice}
+
+
 def builtin_lattice(name: str) -> LatticeEntry | None:
     """Resolve a builtin lattice name, or None when the name is not builtin."""
-    if name == "U":
-        return hyperbolic_plane()
-    if name == "E8_MINUS":
-        return e8_minus()
-    if name == "K3":
-        return k3_lattice()
-    m = _DOUADY_RE.match(name)
+    if name in _BUILTINS:
+        return _BUILTINS[name]()
+    m = _DOUADY_RE.fullmatch(name)
     if m:
-        n = int(m.group(1))
+        n = _int(m.group(1), name)
         if n < 2:
             raise WorkspaceError(f"{name}: the number of points must be >= 2")
         return douady_lattice(n)
@@ -157,24 +165,22 @@ class Workspace:
         )
 
     def vector(self, name: str) -> NamedVector:
-        if name not in self.vectors:
-            raise WorkspaceError(f"unknown vector {name!r}")
-        return self.vectors[name]
+        return _named(self.vectors, "vector", name)
 
     def sublattice(self, name: str) -> NamedSublattice:
-        if name not in self.sublattices:
-            raise WorkspaceError(f"unknown sublattice {name!r}")
-        return self.sublattices[name]
+        return _named(self.sublattices, "sublattice", name)
 
     def isometry(self, name: str) -> NamedIsometry:
-        if name not in self.isometries:
-            raise WorkspaceError(f"unknown isometry {name!r}")
-        return self.isometries[name]
+        return _named(self.isometries, "isometry", name)
 
     def group(self, name: str) -> NamedGroup:
-        if name not in self.groups:
-            raise WorkspaceError(f"unknown group {name!r}")
-        return self.groups[name]
+        return _named(self.groups, "group", name)
+
+
+def _named(entries: dict, kind: str, name: str):
+    if name not in entries:
+        raise WorkspaceError(f"unknown {kind} {name!r}")
+    return entries[name]
 
 
 def _parse_lattice(name: str, value) -> LatticeEntry:
@@ -213,14 +219,16 @@ def parse_workspace(data) -> Workspace:
     """Build a Workspace from decoded JSON, validating structure and references."""
     if not isinstance(data, dict):
         raise WorkspaceError("workspace must be a JSON object")
-    known = {"lattices", "vectors", "sublattices", "isometries", "groups"}
-    unknown = set(data) - known
+    unknown = set(data) - set(_SECTIONS)
     if unknown:
         raise WorkspaceError(f"unknown top-level keys {sorted(unknown)}")
-    for key in known:
+    for key in _SECTIONS:
         section = data.get(key, {})
         if not isinstance(section, dict):
             raise WorkspaceError(f"{key}: expected an object of named entries")
+        for name in section:
+            if not isinstance(name, str) or _SURROGATE.search(name):
+                raise WorkspaceError(f"{key}: name {name!r} is not Unicode text")
     ws = Workspace()
     for name, value in data.get("lattices", {}).items():
         ws.lattices[name] = _parse_lattice(name, value)
@@ -235,38 +243,31 @@ def parse_workspace(data) -> Workspace:
         except WorkspaceError as exc:
             raise WorkspaceError(f"{where}: {exc}") from exc
 
-    for name, value in data.get("vectors", {}).items():
-        where = f"vectors.{name}"
-        if not isinstance(value, dict) or set(value) != {"lattice", "coords"}:
-            raise WorkspaceError(f"{where}: expected keys 'lattice' and 'coords'")
-        rank = _resolved_rank(value["lattice"], where)
-        coords = _vector(value["coords"], f"{where}.coords")
+    def entries(section: str, payload: str):
+        """(name, where, lattice name, rank, payload) of each entry of a
+        section whose entries hold exactly 'lattice' and ``payload``."""
+        for name, value in data.get(section, {}).items():
+            where = f"{section}.{name}"
+            if not isinstance(value, dict) or set(value) != {"lattice", payload}:
+                raise WorkspaceError(f"{where}: expected keys 'lattice' and '{payload}'")
+            lattice = value["lattice"]
+            yield name, where, lattice, _resolved_rank(lattice, where), value[payload]
+
+    for name, where, lattice, rank, coords in entries("vectors", "coords"):
+        coords = _vector(coords, f"{where}.coords")
         if len(coords) != rank:
             raise WorkspaceError(f"{where}: vector length does not match rank {rank}")
-        ws.vectors[name] = NamedVector(value["lattice"], coords)
-    for name, value in data.get("sublattices", {}).items():
-        where = f"sublattices.{name}"
-        if not isinstance(value, dict) or set(value) != {"lattice", "columns"}:
-            raise WorkspaceError(f"{where}: expected keys 'lattice' and 'columns'")
-        rank = _resolved_rank(value["lattice"], where)
-        columns = tuple(
-            _vector(c, f"{where}.columns") for c in _as_list(value["columns"], where)
-        )
-        for c in columns:
-            if len(c) != rank:
-                raise WorkspaceError(
-                    f"{where}: column length does not match rank {rank}"
-                )
-        ws.sublattices[name] = NamedSublattice(value["lattice"], columns)
-    for name, value in data.get("isometries", {}).items():
-        where = f"isometries.{name}"
-        if not isinstance(value, dict) or set(value) != {"lattice", "matrix"}:
-            raise WorkspaceError(f"{where}: expected keys 'lattice' and 'matrix'")
-        rank = _resolved_rank(value["lattice"], where)
-        matrix = _matrix(value["matrix"], f"{where}.matrix")
+        ws.vectors[name] = NamedVector(lattice, coords)
+    for name, where, lattice, rank, columns in entries("sublattices", "columns"):
+        columns = tuple(_vector(c, f"{where}.columns") for c in _as_list(columns, where))
+        if any(len(c) != rank for c in columns):
+            raise WorkspaceError(f"{where}: column length does not match rank {rank}")
+        ws.sublattices[name] = NamedSublattice(lattice, columns)
+    for name, where, lattice, rank, matrix in entries("isometries", "matrix"):
+        matrix = _matrix(matrix, f"{where}.matrix")
         if len(matrix) != rank or (matrix and len(matrix[0]) != rank):
             raise WorkspaceError(f"{where}.matrix: expected a {rank}x{rank} matrix")
-        ws.isometries[name] = NamedIsometry(value["lattice"], matrix)
+        ws.isometries[name] = NamedIsometry(lattice, matrix)
     for name, value in data.get("groups", {}).items():
         where = f"groups.{name}"
         if not isinstance(value, dict) or not {"lattice", "generators"} <= set(value):
@@ -317,6 +318,10 @@ def load_workspace(path: str | None) -> Workspace:
         raise WorkspaceError(f"workspace file is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise WorkspaceError(f"workspace file is not valid JSON: {exc}") from exc
+    except WorkspaceError:  # a duplicate name, raised by the decoder's hook
+        raise
+    except ValueError as exc:  # a number with more digits than the int <-> str cap
+        raise WorkspaceError(f"workspace file {path}: {exc}") from exc
     except RecursionError:  # the decoder recurses once per nesting level
         raise WorkspaceError("workspace file nests arrays or objects too deeply") from None
     return parse_workspace(data)

@@ -26,6 +26,7 @@ from hilblat import (
 from hilblat.cli import build_parser, main
 from hilblat.workspace import builtin_lattice, load_workspace
 
+SECTIONS = ("lattices", "vectors", "sublattices", "isometries", "groups")
 QUARTIC = {"gram": [[4, 0], [0, -8]], "e": [0, 1]}
 INVOLUTION = {"lattice": "quartic", "matrix": [[3, 4], [-2, -3]]}
 
@@ -36,6 +37,111 @@ def _workspace_file(tmp_path, data):
     return str(path)
 
 
+def _with_quartic(**sections):
+    return {"lattices": {"Q": QUARTIC}, **sections}
+
+
+# (id, workspace, (lookup method, name) tried on the parsed workspace,
+# exact WorkspaceError text)
+STRUCTURAL_FAULTS = [
+    # an entry is an object with exactly 'lattice' and its payload key
+    ("vector-not-object", _with_quartic(vectors={"v": [1, 0]}), None,
+     "vectors.v: expected keys 'lattice' and 'coords'"),
+    ("vector-missing-key", _with_quartic(vectors={"v": {"lattice": "Q"}}), None,
+     "vectors.v: expected keys 'lattice' and 'coords'"),
+    ("vector-extra-key",
+     _with_quartic(vectors={"v": {"lattice": "Q", "coords": [1, 0], "e": 1}}), None,
+     "vectors.v: expected keys 'lattice' and 'coords'"),
+    ("sublattice-keys",
+     _with_quartic(sublattices={"s": {"lattice": "Q", "coords": [[1, 0]]}}), None,
+     "sublattices.s: expected keys 'lattice' and 'columns'"),
+    ("isometry-keys",
+     _with_quartic(isometries={"f": {"lattice": "Q", "columns": [[1, 0]]}}), None,
+     "isometries.f: expected keys 'lattice' and 'matrix'"),
+    ("group-keys", _with_quartic(groups={"G": {"lattice": "Q"}}), None,
+     "groups.G: expected keys 'lattice' and 'generators'"),
+    ("group-extra-key",
+     _with_quartic(groups={"G": {"lattice": "Q", "generators": [], "e": 1}}), None,
+     "groups.G: unknown keys present"),
+    # lattice references: not a string, or not resolvable
+    ("vector-lattice-int", _with_quartic(vectors={"v": {"lattice": 5, "coords": [1, 0]}}),
+     None, "vectors.v.lattice: expected a lattice name, got 5"),
+    ("sublattice-lattice-null",
+     _with_quartic(sublattices={"s": {"lattice": None, "columns": []}}), None,
+     "sublattices.s.lattice: expected a lattice name, got None"),
+    ("isometry-lattice-list",
+     _with_quartic(isometries={"f": {"lattice": ["Q"], "matrix": []}}), None,
+     "isometries.f.lattice: expected a lattice name, got ['Q']"),
+    ("vector-unknown-lattice",
+     _with_quartic(vectors={"v": {"lattice": "nope", "coords": [1, 0]}}), None,
+     "vectors.v: unknown lattice 'nope'"),
+    ("sublattice-douady-1",
+     _with_quartic(sublattices={"s": {"lattice": "DOUADY(1)", "columns": []}}), None,
+     "sublattices.s: DOUADY(1): the number of points must be >= 2"),
+    ("isometry-unknown-lattice",
+     _with_quartic(isometries={"f": {"lattice": "nope", "matrix": "x"}}), None,
+     "isometries.f: unknown lattice 'nope'"),
+    ("lattice-before-payload",
+     _with_quartic(vectors={"v": {"lattice": "nope", "coords": "x"}}), None,
+     "vectors.v: unknown lattice 'nope'"),
+    ("unknown-builtin", {"lattices": {"L": "K3\n"}}, None,
+     "lattices.L: unknown builtin lattice 'K3\\n'"),
+    # vector, column and matrix shapes
+    ("coords-not-list", _with_quartic(vectors={"v": {"lattice": "Q", "coords": "1 0"}}),
+     None, "vectors.v.coords: expected a list of integers"),
+    ("coords-length", _with_quartic(vectors={"v": {"lattice": "Q", "coords": [1]}}),
+     None, "vectors.v: vector length does not match rank 2"),
+    ("columns-not-list",
+     _with_quartic(sublattices={"s": {"lattice": "Q", "columns": {"a": 1}}}), None,
+     "sublattices.s: expected a list"),
+    ("column-not-list", _with_quartic(sublattices={"s": {"lattice": "Q", "columns": [1, 0]}}),
+     None, "sublattices.s.columns: expected a list of integers"),
+    ("column-length",
+     _with_quartic(sublattices={"s": {"lattice": "Q", "columns": [[1, 0], [1]]}}), None,
+     "sublattices.s: column length does not match rank 2"),
+    ("column-entry-before-length",
+     _with_quartic(sublattices={"s": {"lattice": "Q", "columns": [[1], [1.5, 0]]}}), None,
+     "sublattices.s.columns: expected an integer, got 1.5"),
+    ("matrix-not-rows", _with_quartic(isometries={"f": {"lattice": "Q", "matrix": [1, 0]}}),
+     None, "isometries.f.matrix: expected a list of rows"),
+    ("matrix-ragged",
+     _with_quartic(isometries={"f": {"lattice": "Q", "matrix": [[1, 0], [0]]}}), None,
+     "isometries.f.matrix: rows have unequal lengths"),
+    ("matrix-rows",
+     _with_quartic(isometries={"f": {"lattice": "Q", "matrix": [[1, 0, 0], [0, 1, 0]]}}),
+     None, "isometries.f.matrix: expected a 2x2 matrix"),
+    ("matrix-width", _with_quartic(isometries={"f": {"lattice": "Q", "matrix": [[1], [0]]}}),
+     None, "isometries.f.matrix: expected a 2x2 matrix"),
+    # bool and float entries
+    ("coords-bool", _with_quartic(vectors={"v": {"lattice": "Q", "coords": [True, 0]}}),
+     None, "vectors.v.coords: expected an integer, got True"),
+    ("coords-float", _with_quartic(vectors={"v": {"lattice": "Q", "coords": [1.0, 0]}}),
+     None, "vectors.v.coords: expected an integer, got 1.0"),
+    ("column-float-string",
+     _with_quartic(sublattices={"s": {"lattice": "Q", "columns": [["1.0", 0]]}}), None,
+     "sublattices.s.columns: expected an integer, got '1.0'"),
+    ("matrix-bool",
+     _with_quartic(isometries={"f": {"lattice": "Q", "matrix": [[1, 0], [0, False]]}}),
+     None, "isometries.f.matrix: expected an integer, got False"),
+    ("gram-float", {"lattices": {"L": {"gram": [[1.5]]}}}, None,
+     "lattices.L.gram: expected an integer, got 1.5"),
+    ("gram-bool", {"lattices": {"L": {"gram": [[True]]}}}, None,
+     "lattices.L.gram: expected an integer, got True"),
+    ("cap-bool", _with_quartic(groups={"G": {"lattice": "Q", "generators": [], "cap": True}}),
+     None, "groups.G.cap: expected an integer, got True"),
+    ("cap-float", _with_quartic(groups={"G": {"lattice": "Q", "generators": [], "cap": 2.5}}),
+     None, "groups.G.cap: expected an integer, got 2.5"),
+    # lookups of names the workspace does not hold
+    ("unknown-lattice", {}, ("lattice", "nope"), "unknown lattice 'nope'"),
+    ("unknown-vector", {}, ("vector", "nope"), "unknown vector 'nope'"),
+    ("unknown-sublattice", {}, ("sublattice", "nope"), "unknown sublattice 'nope'"),
+    ("unknown-isometry", {}, ("isometry", "nope"), "unknown isometry 'nope'"),
+    ("unknown-group", {}, ("group", "nope"), "unknown group 'nope'"),
+    ("no-exceptional-class", {}, ("exceptional", "U"),
+     "lattice 'U' has no designated exceptional class"),
+]
+
+
 class TestWorkspaceParsing:
     def test_builtins(self):
         assert builtin_lattice("U").rank == 2
@@ -43,6 +149,8 @@ class TestWorkspaceParsing:
         assert builtin_lattice("K3").rank == 22
         assert builtin_lattice("DOUADY(3)").n == 3
         assert builtin_lattice("nope") is None
+        # the whole name matches, trailing newline included
+        assert builtin_lattice("DOUADY(2)\n") is None
 
     def test_douady_needs_two_points(self):
         with pytest.raises(WorkspaceError):
@@ -120,6 +228,26 @@ class TestWorkspaceParsing:
         )
         with pytest.raises(WorkspaceError):
             load_workspace(str(path))
+
+    @pytest.mark.parametrize(
+        "data, lookup, message",
+        [case[1:] for case in STRUCTURAL_FAULTS],
+        ids=[case[0] for case in STRUCTURAL_FAULTS],
+    )
+    def test_structural_fault_messages(self, data, lookup, message):
+        with pytest.raises(WorkspaceError) as caught:
+            ws = parse_workspace(data)
+            if lookup:
+                getattr(ws, lookup[0])(lookup[1])
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("section", SECTIONS)
+    @pytest.mark.parametrize("name", ["\ud800", "\udc80", 5])
+    def test_names_are_unicode_text(self, section, name):
+        # a lone surrogate is legal in a JSON string but cannot be printed
+        with pytest.raises(WorkspaceError) as caught:
+            parse_workspace({section: {name: "U"}})
+        assert str(caught.value) == f"{section}: name {name!r} is not Unicode text"
 
 
 # (name, help, positional arguments), in --help order; an int argument
@@ -452,6 +580,41 @@ class TestExitCodes:
             os.close(write_end)
         assert (child.returncode, child.stderr) == (0, b"")
 
+    @pytest.mark.parametrize("stdout_encoding", [None, "utf-8:strict"])
+    @pytest.mark.parametrize("name", ["\\ud800", "\\udc80"])
+    def test_name_that_is_not_unicode_text(self, tmp_path, stdout_encoding, name):
+        # The child encodes what it prints, which capsys and StringIO never do;
+        # a strict stdout cannot encode any lone surrogate.
+        path = tmp_path / "ws.json"
+        path.write_text('{"lattices": {"%s": "U"}}' % name, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(hilblat.__file__).parents[1]))
+        env.pop("PYTHONIOENCODING", None)
+        if stdout_encoding:
+            env["PYTHONIOENCODING"] = stdout_encoding
+        child = subprocess.run(
+            [sys.executable, "-c", "from hilblat.cli import run; run()",
+             "report", "--workspace", str(path)],
+            capture_output=True, env=env, timeout=60,
+        )
+        message = f"error: lattices: name '{name}' is not Unicode text\n"
+        assert (child.returncode, child.stdout, child.stderr.decode()) == (2, b"", message)
+
+    @pytest.mark.parametrize("seed", ["1", "3"])
+    def test_section_diagnostic_is_deterministic(self, tmp_path, seed):
+        # set iteration order follows the string hash, which PYTHONHASHSEED
+        # varies; the sections are checked in their parse order instead
+        path = _workspace_file(tmp_path, {"vectors": 1, "groups": 1, "lattices": 1})
+        env = dict(os.environ, PYTHONPATH=str(Path(hilblat.__file__).parents[1]))
+        env["PYTHONHASHSEED"] = seed
+        child = subprocess.run(
+            [sys.executable, "-c", "from hilblat.cli import run; run()",
+             "report", "--workspace", path],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (child.returncode, child.stderr) == (
+            2, "error: lattices: expected an object of named entries\n"
+        )
+
 
 class TestJsonMirrorsText:
     def test_report_json_round_trips(self, tmp_path, capsys):
@@ -605,6 +768,26 @@ class TestBigIntegers:
                 assert sys.get_int_max_str_digits() == 4300
         finally:
             sys.set_int_max_str_digits(previous)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int <-> str cap"
+    )
+    @pytest.mark.parametrize("form", ["number", "string"])
+    def test_library_refuses_integers_over_the_cap(self, tmp_path, form):
+        # outside the CLI the cap holds, and a longer integer is an input error
+        digits = "7" * 5001
+        entry = digits if form == "number" else f'"{digits}"'
+        path = tmp_path / "ws.json"
+        path.write_text('{"lattices": {"big": {"gram": [[%s]]}}}' % entry, encoding="utf-8")
+        where = f"workspace file {path}" if form == "number" else "lattices.big.gram"
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(WorkspaceError) as caught:
+                load_workspace(str(path))
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert str(caught.value).startswith(f"{where}: Exceeds the limit (4300")
 
 
 class TestReportWork:

@@ -441,6 +441,17 @@ class TestValueContract:
         assert a != Isometry(rescale(U, 2), swap)
         assert a.__eq__(object()) is NotImplemented
 
+    @pytest.mark.parametrize("rank, gram", [(2.0, ((1, 0), (0, 1))), (True, ((1,),))])
+    def test_rank_is_an_int(self, rank, gram):
+        # Lattice(True, ...) would equal and hash like Lattice(1, ...), and
+        # print as rank=True; rank 2.0 would fail later, in direct_sum
+        with pytest.raises(LatticeError, match=r"^rank must be an int, got "):
+            Lattice(rank, gram)
+
+    def test_shape_is_checked_before_the_rank_type(self):
+        with pytest.raises(LatticeError, match=r"^Gram matrix must be 1x1$"):
+            Lattice("1", ((1,),))
+
     def test_types_never_compare_equal(self):
         L = Lattice(0, ())
         values = [L, Sublattice(L, []), Isometry(L, ())]

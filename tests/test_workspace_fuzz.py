@@ -15,7 +15,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hilblat import LatticeError, WorkspaceError, parse_workspace
@@ -144,6 +144,9 @@ any_workspace = (
 
 @SEEDED
 @given(any_workspace)
+# a decimal string longer than Python's default cap of 4300 digits on
+# int <-> str conversion (an interpreter without the cap parses it)
+@example({"lattices": {"L": {"gram": [["7" * 5001]]}}})
 def test_parse_raises_only_workspace_or_lattice_errors(data):
     try:
         parse_workspace(data)
