@@ -12,8 +12,9 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import compress
+from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -105,6 +106,7 @@ def _exact_vector(data) -> tuple:
     return out
 
 
+@cache
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -279,7 +281,8 @@ def _hnf(rows) -> tuple[Vector, ...]:
     cols: list[int] = []
     for row in rows:
         r = list(row)
-        c = next((j for j, x in enumerate(r) if x), None)
+        positions = range(len(r))
+        c = next(compress(positions, r), None)
         while c is not None:
             p = pivots.get(c)
             if p is None:
@@ -298,29 +301,58 @@ def _hnf(rows) -> tuple[Vector, ...]:
                 q = b // a
                 r = [y - q * x for x, y in zip(p, r)]
             r = _reduce(r, c, pivots, cols)
-            c = next((j for j in range(c + 1, len(r)) if r[j]), None)
+            # r is zero up to column c
+            c = next(compress(positions, r), None)
     for c in reversed(cols):
         pivots[c] = _reduce(pivots[c], c, pivots, cols)
     return tuple(tuple(pivots[c]) for c in cols)
 
 
 def _kernel(rows, width: int) -> tuple[Vector, ...]:
-    """integer_kernel without input checks.
+    """integer_kernel without input checks: the kernel of the HNF of the
+    rows, which has the same kernel and at most ``width`` rows."""
+    return _kernel_of_hnf(_hnf(rows), width)
 
-    The rows are first replaced by their HNF, which has at most ``width``
-    rows r.  The HNF of [A^T | I] then has exactly r rows that are nonzero
-    on the first block; the rows after them are (0, x) with A . x = 0, and
-    their tails are already the canonical basis of the kernel.
+
+def _kernel_of_hnf(h: tuple[Vector, ...], width: int) -> tuple[Vector, ...]:
+    """Canonical basis of {x : h . x = 0} for a canonical Hermite basis
+    ``h`` of r rows of length ``width``.
+
+    The HNF of [h^T | I] has exactly r rows that are nonzero on the first
+    block; the rows after them are (0, x) with h . x = 0, and their tails
+    are already the canonical basis of the kernel.
     """
-    h = _hnf(rows)
     r = len(h)
-    aug = [[v[j] for v in h] + [int(k == j) for k in range(width)] for j in range(width)]
+    columns = zip(*h) if h else [()] * width
+    aug = [column + unit for column, unit in zip(columns, identity_matrix(width))]
     return tuple(row[r:] for row in _hnf(aug)[r:])
 
 
-def _saturation(rows, width: int) -> tuple[Vector, ...]:
-    """saturation_basis without input checks: the kernel of the kernel."""
-    return _kernel(_kernel(rows, width), width)
+def _sift(basis: tuple[Vector, ...], vectors, rational: bool = False) -> bool:
+    """Whether every vector lies in the integer span of a canonical Hermite
+    basis, or with ``rational`` in its rational span; no input checks.
+
+    Each vector is reduced against the basis rows in order: the row with
+    pivot column c clears the vector's entry in column c, which the rows
+    after it do not touch, and the vector lies in the span iff nothing is
+    left.  Integrally the entry must be a multiple of the pivot;
+    rationally the vector is first rescaled so that it is, which keeps
+    every entry an integer.
+    """
+    pivots = [next(compress(range(len(row)), row)) for row in basis]
+    for v in vectors:
+        for c, row in zip(pivots, basis):
+            p = row[c]
+            if v[c] % p:
+                if not rational:
+                    return False
+                scale = p // gcd(v[c], p)
+                v = [scale * a for a in v]
+            if q := v[c] // p:
+                v = [a - q * b for a, b in zip(v, row)]
+        if any(v):
+            return False
+    return True
 
 
 def _rows(vectors: Iterable[Sequence[int]], width: int) -> list[Vector]:
@@ -363,7 +395,7 @@ def integer_kernel(matrix, width: int | None = None) -> tuple[Vector, ...]:
 
 def saturation_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[Vector, ...]:
     """Canonical basis of (rational span of ``vectors``) intersected with Z^width."""
-    return _saturation(_rows(vectors, width), width)
+    return _kernel_of_hnf(_kernel(_rows(vectors, width), width), width)
 
 
 @dataclass(frozen=True)
@@ -503,7 +535,7 @@ class Sublattice:
     def saturated(self) -> bool:
         """Whether the integer span equals the intersection of the rational
         span with the ambient lattice; computed on first use."""
-        return self.basis == _saturation(self.basis, self.ambient.rank)
+        return saturate(self.ambient, self).basis == self.basis
 
     @cached_property
     def _form(self) -> tuple[SignatureTriple, int]:
@@ -521,11 +553,12 @@ class Sublattice:
         return mat_mul(mat_mul(b, self.ambient.gram), transpose(b))
 
     def contains(self, v) -> bool:
-        """Integral membership in the integer span."""
-        return _hnf([*self.basis, *_rows([v], self.ambient.rank)]) == self.basis
+        """Integral membership in the integer span, by one sift of ``v``
+        against the canonical basis."""
+        return _sift(self.basis, _rows([v], self.ambient.rank))
 
     def rational_span_contains(self, v) -> bool:
-        return len(_hnf([*self.basis, *_rows([v], self.ambient.rank)])) == self.rank
+        return _sift(self.basis, _rows([v], self.ambient.rank), rational=True)
 
 
 def full_sublattice(L: Lattice) -> Sublattice:
@@ -546,7 +579,7 @@ def rational_span_leq(inner: Sublattice, outer: Sublattice) -> bool:
     """Whether the rational span of ``inner`` sits inside that of ``outer``."""
     if inner.ambient != outer.ambient:
         raise LatticeError("sublattices live in different lattices")
-    return len(_hnf(outer.basis + inner.basis)) == outer.rank
+    return _sift(outer.basis, inner.basis, rational=True)
 
 
 def orthogonal_complement(L: Lattice, s: Sublattice) -> Sublattice:
@@ -559,7 +592,7 @@ def orthogonal_complement(L: Lattice, s: Sublattice) -> Sublattice:
 def saturate(L: Lattice, s: Sublattice) -> Sublattice:
     """Primitive closure: (rational span of s) intersected with L."""
     _check_sub(L, s)
-    return Sublattice._trusted(L, _saturation(s.basis, L.rank))
+    return Sublattice._trusted(L, _kernel_of_hnf(_kernel_of_hnf(s.basis, L.rank), L.rank))
 
 
 def isometry_violation(L: Lattice, matrix) -> str | None:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from operator import sub
+from operator import itemgetter, sub
 from typing import Optional
 
 from .core import (
@@ -21,11 +21,11 @@ from .core import (
     _hnf,
     _isometry_matrix,
     _kernel,
+    _sift,
     _support,
     as_matrix,
     discriminant,
     identity_matrix,
-    mat_mul,
     orthogonal_complement,
     rational_span_leq,
     sub_signature,
@@ -67,11 +67,14 @@ class IsometryGroup:
     """A finite isometry group, held as the permutations it induces on the
     orbit of the basis vectors.
 
-    Each element is the tuple of the orbit indices of its columns, so the
-    order and membership are read off these tuples.  The sorted tuple of
-    element matrices is built only when ``elements`` is first read.  The
-    fixed sublattice and the orthogonal complement of that are likewise
-    computed once, on first use, and shared by every reader.
+    Every element fixes the basis vectors that every generator fixes, so
+    an element is the tuple of the orbit indices of its columns at the
+    moved positions only, and the order and membership are read off these
+    tuples.  The sorted tuple of element matrices is built only when
+    ``elements`` is first read.  The generators are also kept as the
+    nonzero entries of their columns, the form in which they act on
+    vectors.  The fixed sublattice and the orthogonal complement of that
+    are computed once, on first use, and shared by every reader.
 
     Two groups are equal when they act on the same lattice, have the same
     order, and every generator of one is an element of the other; the hash
@@ -81,19 +84,29 @@ class IsometryGroup:
 
     ambient: Lattice
     generators: tuple[Matrix, ...]
-    # orbit point -> its index, in index order
+    # orbit point -> its index, in index order; basis vector j has index j
     _index: dict[Vector, int] = field(repr=False)
+    # the positions of the basis vectors that some generator moves
+    _moved: tuple[int, ...] = field(repr=False)
     _tuples: frozenset[tuple[int, ...]] = field(repr=False)
+    # per generator, the (row, value) pairs of each column
+    _columns: tuple[list[list[tuple[int, int]]], ...] = field(repr=False)
 
     @property
     def order(self) -> int:
         return len(self._tuples)
 
+    def _column_indices(self, a: tuple[int, ...]) -> list[int]:
+        """The orbit indices of all columns of the element stored as ``a``."""
+        moved_to = dict(zip(self._moved, a))
+        return [moved_to.get(j, j) for j in range(self.ambient.rank)]
+
     @cached_property
     def elements(self) -> tuple[Matrix, ...]:
         """Every element's matrix, sorted for determinism."""
         points = list(self._index)
-        return tuple(sorted(tuple(zip(*map(points.__getitem__, a))) for a in self._tuples))
+        columns = (map(points.__getitem__, self._column_indices(a)) for a in self._tuples)
+        return tuple(sorted(tuple(zip(*c)) for c in columns))
 
     @cached_property
     def _invariant(self) -> Sublattice:
@@ -133,7 +146,9 @@ class IsometryGroup:
         if len(m) != n or (m and len(m[0]) != n):
             return False
         # a column outside the orbit maps to None, which no element holds
-        return tuple(map(self._index.get, zip(*m))) in self._tuples
+        full = list(map(self._index.get, zip(*m)))
+        a = tuple(map(full.__getitem__, self._moved))
+        return a in self._tuples and self._column_indices(a) == full
 
     def __eq__(self, other):
         if not isinstance(other, IsometryGroup):
@@ -153,13 +168,15 @@ def closure(target, generators, cap: int = DEFAULT_CLOSURE_CAP) -> IsometryGroup
     """Enumerate the group generated by the given isometries.
 
     The group acts faithfully on the orbit O of the basis vectors, since
-    column j of g is g(e_j).  Each generator becomes a permutation of O:
-    the image g(v) of an orbit point is the core sparse kernel's sum of
-    v_j times column j of g over the nonzero v_j.  Each element is stored
-    as the n-tuple of the orbit indices of its columns, so that a product
-    with a generator is n list lookups.  The breadth-first search runs on
-    these tuples, and the group keeps them: no matrix is built here, and
-    ``elements`` builds the matrices from the tuples on first read.
+    column j of g is g(e_j).  A basis vector that every generator fixes is
+    its own orbit and is left out of the search.  Each generator becomes a
+    permutation of the rest of O: the image g(v) of an orbit point is the
+    core sparse kernel's sum of v_j times column j of g over the nonzero
+    v_j.  Each element is stored as the tuple of the orbit indices of its
+    columns at the moved positions, so that a product with a generator is
+    one list lookup per moved basis vector.  The breadth-first search runs
+    on these tuples, and the group keeps them: no matrix is built here,
+    and ``elements`` builds the matrices from the tuples on first read.
 
     Raises once the orbit of one basis vector, or the number of elements,
     would exceed ``cap``; either signals an infinite or oversized group,
@@ -174,13 +191,15 @@ def closure(target, generators, cap: int = DEFAULT_CLOSURE_CAP) -> IsometryGroup
     too_big = f"group order exceeds the enumeration cap {cap}"
     # Sparse columns: the dense mat_vec made the closures of a
     # fixed-lattice round 3x slower.
-    columns = [_support(transpose(g)) for g in gens]
+    columns = tuple(_support(transpose(g)) for g in gens)
     points = list(identity_matrix(n))
     index = {v: k for k, v in enumerate(points)}
-    images = [None] * n
+    moved = tuple(j for j in range(n) if any(cols[j] != [(j, 1)] for cols in columns))
+    # a fixed basis vector keeps its placeholder images, which no search reads
+    images = [(k,) * len(gens) for k in range(n)]
     # Each queue holds only points first reached from its root, so it lies
     # in that root's orbit and its length bounds |G| from below.
-    for root in range(n):
+    for root in moved:
         queue = [root]
         for k in queue:
             support = [(j, x) for j, x in enumerate(points[k]) if x]
@@ -196,22 +215,24 @@ def closure(target, generators, cap: int = DEFAULT_CLOSURE_CAP) -> IsometryGroup
                     images.append(None)
                     queue.append(m)
                 image.append(m)
-    steps = [perm.__getitem__ for perm in zip(*images)]
-    ident = tuple(range(n))
-    elements = {ident}
-    frontier = [ident]
+    perms = list(zip(*images))
+    elements = {moved}
+    frontier = [moved]
     while frontier:
         fresh = []
         for a in frontier:
-            for step in steps:
-                c = tuple(map(step, a))
+            # a product with a generator reads the generator's permutation at
+            # a; itemgetter returns a tuple only for two or more indices
+            compose = itemgetter(*a) if len(a) > 1 else lambda perm: tuple(perm[i] for i in a)
+            for perm in perms:
+                c = compose(perm)
                 if c not in elements:
                     if len(elements) >= cap:
                         raise LatticeError(too_big)
                     elements.add(c)
                     fresh.append(c)
         frontier = fresh
-    return IsometryGroup(L, tuple(gens), index, frozenset(elements))
+    return IsometryGroup(L, tuple(gens), index, moved, frozenset(elements), columns)
 
 
 def invariant_sublattice(G: IsometryGroup) -> Sublattice:
@@ -337,18 +358,21 @@ def classify_ns_type(L: Lattice, ns: Sublattice) -> NSType:
     return ns_classification(L, ns).ns_type
 
 
-def _generator_images(G: IsometryGroup, s: Sublattice, unstable: str) -> list[Matrix]:
-    """g(basis of s), one stacked matrix per generator g; raises with the
-    message ``unstable`` unless every image lies in s.
+def _moved_images(G: IsometryGroup, s: Sublattice, unstable: str) -> list[Vector]:
+    """The images g(b) that differ from b, over the generators g and the
+    basis vectors b of s; raises with the message ``unstable`` unless each
+    lies in s.
 
-    Stability is one echelon call on the basis and all images together:
-    the span grows, and the canonical basis changes, iff an image is
-    outside s.
+    Each image is the core sparse kernel's sum over the nonzero entries of
+    b of the group's stored columns of g.  When some image moved,
+    stability is one sift of the moved images against the canonical basis.
     """
-    images = [mat_mul(s.basis, transpose(g)) for g in G.generators]
-    if _hnf([*s.basis, *(v for image in images for v in image)]) != s.basis:
+    n, supports = G.ambient.rank, _support(s.basis)
+    images = [_combine(terms, cols, n) for cols in G._columns for terms in supports]
+    moved = [w for w, b in zip(images, s.basis * len(G._columns)) if w != b]
+    if moved and not _sift(s.basis, moved):
         raise LatticeError(unstable)
-    return images
+    return moved
 
 
 def acts_trivially_on(G: IsometryGroup, s: Sublattice) -> bool:
@@ -356,12 +380,12 @@ def acts_trivially_on(G: IsometryGroup, s: Sublattice) -> bool:
 
     The sublattice must at least be stable (mapped into itself by every
     generator); otherwise the question is ill-posed and an error is
-    raised.
+    raised.  When every generator fixes every basis vector the answer is
+    True with no stability test.
     """
     if s.ambient != G.ambient:
         raise LatticeError("sublattice lives in a different lattice")
-    images = _generator_images(G, s, "sublattice is not stable under the group")
-    return all(image == s.basis for image in images)
+    return not _moved_images(G, s, "sublattice is not stable under the group")
 
 
 def is_negative_definite(s: Sublattice) -> bool:
@@ -416,7 +440,7 @@ def symplectic_action_report(
         raise LatticeError("group acts on a different lattice")
     if ns.ambient != amb:
         raise LatticeError("sublattice lives in a different lattice")
-    _generator_images(G, ns, "the Neron-Severi block is not stable under the group")
+    _moved_images(G, ns, "the Neron-Severi block is not stable under the group")
     cls = ns_classification(amb, ns)
     tr = cls.transcendental
     inv, co = G._invariant, G._coinvariant

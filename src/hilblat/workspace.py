@@ -66,6 +66,32 @@ class WorkspaceError(ValueError):
     """The workspace file is malformed or a name does not resolve."""
 
 
+def _show(value) -> str:
+    """repr(value), for a message naming a value that need not be a str.
+    An int with more digits than sys.get_int_max_str_digits() allows, whose
+    repr raises, is named by its digit count instead, also inside a list,
+    tuple or dict."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            digits = int(abs(value).bit_length() * 0.30102999566398120)  # the count or one less
+            return f"<an integer of {digits + (abs(value) >= 10**digits)} digits>"
+        if isinstance(value, dict):
+            return "{" + ", ".join(f"{_show(k)}: {_show(v)}" for k, v in value.items()) + "}"
+        if isinstance(value, list):
+            return "[" + ", ".join(map(_show, value)) + "]"
+        if isinstance(value, tuple):
+            return "(" + ", ".join(map(_show, value)) + ("," if len(value) == 1 else "") + ")"
+        raise
+
+
+def _show_keys(keys) -> str:
+    """The keys as a list in a fixed order: the str keys sorted, then any
+    others sorted by their text."""
+    return _show(sorted(keys, key=lambda k: (0, k) if isinstance(k, str) else (1, _show(k))))
+
+
 def _int(value, where: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
@@ -74,7 +100,7 @@ def _int(value, where: str) -> int:
             return int(value)
         except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
             raise WorkspaceError(f"{where}: {exc}") from None
-    raise WorkspaceError(f"{where}: expected an integer, got {value!r}")
+    raise WorkspaceError(f"{where}: expected an integer, got {_show(value)}")
 
 
 def _vector(value, where: str) -> Vector:
@@ -150,7 +176,7 @@ class Workspace:
             return self.lattices[name]
         builtin = builtin_lattice(name)
         if builtin is None:
-            raise WorkspaceError(f"unknown lattice {name!r}")
+            raise WorkspaceError(f"unknown lattice {_show(name)}")
         return builtin
 
     def lattice(self, name: str) -> Lattice:
@@ -161,7 +187,7 @@ class Workspace:
         if isinstance(entry, ExceptionalPair):
             return entry
         raise WorkspaceError(
-            f"lattice {name!r} has no designated exceptional class"
+            f"lattice {_show(name)} has no designated exceptional class"
         )
 
     def vector(self, name: str) -> NamedVector:
@@ -179,7 +205,7 @@ class Workspace:
 
 def _named(entries: dict, kind: str, name: str):
     if name not in entries:
-        raise WorkspaceError(f"unknown {kind} {name!r}")
+        raise WorkspaceError(f"unknown {kind} {_show(name)}")
     return entries[name]
 
 
@@ -194,7 +220,7 @@ def _parse_lattice(name: str, value) -> LatticeEntry:
         raise WorkspaceError(f"{where}: expected a builtin name or an object")
     unknown = set(value) - {"gram", "e"}
     if unknown:
-        raise WorkspaceError(f"{where}: unknown keys {sorted(unknown)}")
+        raise WorkspaceError(f"{where}: unknown keys {_show_keys(unknown)}")
     if "gram" not in value:
         raise WorkspaceError(f"{where}: missing 'gram'")
     gram = _matrix(value["gram"], f"{where}.gram")
@@ -221,14 +247,14 @@ def parse_workspace(data) -> Workspace:
         raise WorkspaceError("workspace must be a JSON object")
     unknown = set(data) - set(_SECTIONS)
     if unknown:
-        raise WorkspaceError(f"unknown top-level keys {sorted(unknown)}")
+        raise WorkspaceError(f"unknown top-level keys {_show_keys(unknown)}")
     for key in _SECTIONS:
         section = data.get(key, {})
         if not isinstance(section, dict):
             raise WorkspaceError(f"{key}: expected an object of named entries")
         for name in section:
             if not isinstance(name, str) or _SURROGATE.search(name):
-                raise WorkspaceError(f"{key}: name {name!r} is not Unicode text")
+                raise WorkspaceError(f"{key}: name {_show(name)} is not Unicode text")
     ws = Workspace()
     for name, value in data.get("lattices", {}).items():
         ws.lattices[name] = _parse_lattice(name, value)
@@ -236,7 +262,7 @@ def parse_workspace(data) -> Workspace:
     def _resolved_rank(lattice_name, where: str) -> int:
         if not isinstance(lattice_name, str):
             raise WorkspaceError(
-                f"{where}.lattice: expected a lattice name, got {lattice_name!r}"
+                f"{where}.lattice: expected a lattice name, got {_show(lattice_name)}"
             )
         try:
             return ws.lattice(lattice_name).rank
@@ -278,7 +304,7 @@ def parse_workspace(data) -> Workspace:
         gen_names = _as_list(value["generators"], where)
         for gen in gen_names:
             if not isinstance(gen, str) or gen not in ws.isometries:
-                raise WorkspaceError(f"{where}: unknown generator {gen!r}")
+                raise WorkspaceError(f"{where}: unknown generator {_show(gen)}")
             if ws.isometries[gen].lattice != value["lattice"]:
                 raise WorkspaceError(
                     f"{where}: generator {gen!r} acts on a different lattice"

@@ -34,6 +34,7 @@ from hilblat import (
     coinvariant_sublattice,
     det,
     hermite_basis,
+    identity_matrix,
     integer_kernel,
     invariant_sublattice,
     k3_lattice,
@@ -232,11 +233,95 @@ class TestAgainstReference:
         )
         assert saturation_basis(rows, width) == expected
 
+    @exact
+    @given(st.integers(0, 2**32))
+    def test_saturate_bit_equal(self, seed):
+        rng = random.Random(seed)
+        L = random_nondegenerate_lattice(rng, max_rank=6)
+        S = random_sublattice(L, rng)
+        n = L.rank
+        expected = reference_integer_kernel(reference_integer_kernel(S.basis, n), n)
+        assert saturate(L, S).basis == saturation_basis(S.basis, n) == expected
+        assert S.saturated == (S.basis == expected)
+
     def test_empty_input(self):
         assert hermite_basis([], 3) == ()
         assert integer_kernel([], 2) == ((1, 0), (0, 1))
         assert saturation_basis([], 3) == ()
         assert hermite_basis([], 0) == integer_kernel([[]]) == ()
+
+
+def random_canonical_basis(rng, width):
+    """A canonical Hermite basis of rank 0 to ``width`` with 40-bit
+    entries, some rows scaled so that pivots exceed 1."""
+    rows = []
+    for _ in range(rng.randint(0, width + 1)):
+        bits = rng.choice((3, 40))
+        row = [rng.randint(-(2**bits), 2**bits) if rng.random() < 0.6 else 0 for _ in range(width)]
+        rows.append([rng.choice((1, 1, 2, 6, 2**39 + 1)) * x for x in row])
+    return core._hnf(rows)
+
+
+def random_test_vector(rng, basis, width):
+    """The zero vector, an integer or halved combination of the basis, such
+    a combination moved by a unit vector, or a random 40-bit vector."""
+    kind = rng.randrange(5)
+    if kind == 0 or (kind < 4 and not basis):
+        return (0,) * width
+    if kind == 4:
+        return tuple(rng.randint(-(2**40), 2**40) for _ in range(width))
+    v = [0] * width
+    for row in basis:
+        c = rng.randint(-(2**40), 2**40)
+        v = [x + c * y for x, y in zip(v, row)]
+    if kind == 2 and all(x % 2 == 0 for x in v):
+        v = [x // 2 for x in v]  # stays in the rational span
+    if kind == 3:
+        v[rng.randrange(width)] += rng.choice((1, -1))
+    return tuple(v)
+
+
+class TestSift:
+    """Membership by sifting against a canonical basis, integral and
+    rational, agrees with the echelon tests it replaced: the HNF of the
+    basis and the vector is the basis, and the rank does not grow."""
+
+    @exact
+    @given(st.integers(0, 2**32), st.integers(1, 7))
+    def test_agrees_with_the_echelon_tests(self, seed, width):
+        rng = random.Random(seed)
+        basis = random_canonical_basis(rng, width)
+        vectors = [random_test_vector(rng, basis, width) for _ in range(4)]
+        integral = [core._hnf([*basis, v]) == basis for v in vectors]
+        rational = [len(core._hnf([*basis, v])) == len(basis) for v in vectors]
+        for v, inside, spanned in zip(vectors, integral, rational):
+            assert core._sift(basis, [v]) == inside
+            assert core._sift(basis, [v], rational=True) == spanned
+        assert core._sift(basis, vectors) == all(integral)
+        assert core._sift(basis, vectors, rational=True) == all(rational)
+        assert core._sift(basis, []) and core._sift(basis, [], rational=True)
+
+    @exact
+    @given(st.integers(0, 2**32), st.integers(1, 7))
+    def test_public_readers(self, seed, width):
+        rng = random.Random(seed)
+        L = Lattice.from_gram(identity_matrix(width))
+        outer = Sublattice._trusted(L, random_canonical_basis(rng, width))
+        inner = Sublattice._trusted(L, random_canonical_basis(rng, width))
+        v = random_test_vector(rng, outer.basis, width)
+        assert outer.contains(v) == (hermite_basis([*outer.basis, v], width) == outer.basis)
+        assert outer.rational_span_contains(v) == (rank_of([*outer.basis, v], width) == outer.rank)
+        assert rational_span_leq(inner, outer) == (
+            rank_of(outer.basis + inner.basis, width) == outer.rank
+        )
+
+    def test_pivots_above_one(self):
+        basis = ((2, 1, 0), (0, 3, 0))
+        assert core._sift(basis, [(4, 5, 0), (0, 0, 0)])
+        assert not core._sift(basis, [(2, 2, 0)])
+        assert core._sift(basis, [(1, 0, 0), (0, 1, 0)], rational=True)
+        assert not core._sift(basis, [(0, 0, 1)], rational=True)
+        assert core._sift((), [(0, 0, 0)]) and not core._sift((), [(0, 1, 0)])
 
 
 class TestKernelByBruteForce:

@@ -335,6 +335,83 @@ def _identity_pool():
     return L, pool
 
 
+def _padded(L, gens, pad, before):
+    """L with ``pad`` extra coordinates of norm -2 that every generator
+    fixes, placed before or after L's own."""
+    if not pad:
+        return L, gens
+    k, n = pad, L.rank
+    P = diagonal_lattice((-2,) * k)
+
+    def extend(g):
+        ident = identity_matrix(k)
+        if before:
+            return tuple(r + (0,) * n for r in ident) + tuple((0,) * k + r for r in g)
+        return tuple(r + (0,) * k for r in g) + tuple((0,) * n + r for r in ident)
+
+    return (direct_sum(P, L) if before else direct_sum(L, P)), [extend(g) for g in gens]
+
+
+def _swap_columns(m, a, b):
+    cols = list(zip(*m))
+    cols[a], cols[b] = cols[b], cols[a]
+    return tuple(zip(*cols))
+
+
+class TestClosureAgainstOracle:
+    """closure searches only the orbits of the moved basis vectors and keeps
+    each element on the moved positions; on order, elements, membership,
+    == and hash it agrees with the matrix-product closure of
+    abstract_matrix_closure, including for groups that fix basis vectors."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32), st.integers(0, 3), st.integers(0, 2), st.booleans())
+    def test_matches_matrix_product_oracle(self, seed, count, pad, before):
+        rng = random.Random(seed)
+        L0, pool = _identity_pool()
+        gens0 = rng.sample(pool, count)
+        other0 = rng.sample(pool, rng.randint(0, 3))
+        L, gens = _padded(L0, gens0, pad, before)
+        _, other = _padded(L0, other0, pad, before)
+        n = L.rank
+        expected = abstract_matrix_closure(gens, n, cap=64)
+        if expected is None:  # the root reflection can make the group infinite
+            with pytest.raises(LatticeError) as err:
+                closure(L, gens, cap=64)
+            assert str(err.value) == CAP_MESSAGE.format(64)
+            return
+        G = closure(L, gens, cap=64)
+        assert G.order == len(expected)
+        assert G.elements == tuple(sorted(expected))
+        # members, non-members from a larger group, and matrices with two
+        # columns swapped (fixed or moved) are classified as the oracle does
+        larger = abstract_matrix_closure(gens + other, n, cap=64) or set()
+        candidates = list(expected | larger)
+        for m in rng.sample(candidates, min(len(candidates), 12)):
+            a, b = rng.sample(range(n), 2)
+            for x in (m, _swap_columns(m, a, b)):
+                assert (x in G) == (x in expected)
+        # another generating set of the same group, and another group
+        H = closure(L, gens[::-1] + [mat_mul(g, h) for g, h in zip(gens, gens[1:])], cap=64)
+        assert G == H and hash(G) == hash(H)
+        K_elements = abstract_matrix_closure(other, n, cap=64)
+        if K_elements is not None:
+            K = closure(L, other, cap=64)
+            assert (G == K) == (K_elements == expected) == (K == G)
+            if G == K:
+                assert hash(G) == hash(K)
+
+    @pytest.mark.parametrize("pad", [0, 1, 3])
+    def test_no_generators(self, pad):
+        L, _ = _padded(Lattice(0, ()), [], pad, True)
+        G = closure(L, [])
+        expected = abstract_matrix_closure([], L.rank, cap=1)
+        assert G.order == 1 and G.elements == tuple(expected)
+        assert identity_matrix(L.rank) in G and G == closure(L, [identity_matrix(L.rank)])
+        if pad > 1:
+            assert _swap_columns(identity_matrix(pad), 0, 1) not in G
+
+
 class TestGroupIdentity:
     """Two groups are equal when they share the lattice, the order and each
     other's generators; neither == nor hash reads G.elements."""
@@ -628,30 +705,43 @@ class TestStabilityChecks:
             mat_vec(g, v) == v for g in G.generators for v in tr.basis
         )
 
-    def test_one_echelon_call_per_stability_check(self, monkeypatch):
+    def test_one_sift_and_no_echelon_call_per_stability_check(self, monkeypatch):
         D = douady_lattice(2)
         gens = [natural_lift(D, reflection_isometry(K3, _e(i))).matrix for i in (6, 8)]
         G = closure(D.full, gens)  # W(A2) on two roots of E8(-1)
         ns = Sublattice(D.full, [_e(6) + (0,), _e(8) + (0,), D.delta])
-        hnf_calls, contains_calls = [], []
-        real_hnf, real_contains = groups._hnf, core.Sublattice.contains
+        inv = invariant_sublattice(G)
+        tr = transcendental_sublattice(D.full, ns)
+        hnf_calls, sift_calls, contains_calls = [], [], []
+        real_hnf, real_sift = core._hnf, groups._sift
+        real_contains = core.Sublattice.contains
 
         def hnf(rows):
             hnf_calls.append(rows)
             return real_hnf(rows)
 
+        def sift(basis, vectors, rational=False):
+            sift_calls.append((basis, vectors, rational))
+            return real_sift(basis, vectors, rational)
+
         def contains(s, v):
             contains_calls.append(v)
             return real_contains(s, v)
 
+        monkeypatch.setattr(core, "_hnf", hnf)
         monkeypatch.setattr(groups, "_hnf", hnf)
+        monkeypatch.setattr(groups, "_sift", sift)
         monkeypatch.setattr(core.Sublattice, "contains", contains)
         assert not acts_trivially_on(G, ns)
-        assert len(hnf_calls) == 1
-        hnf_calls.clear()
+        assert hnf_calls == [] and len(sift_calls) == 1
+        # a pointwise-fixed block needs neither a sift nor an echelon call
+        sift_calls.clear()
+        assert acts_trivially_on(G, inv) and acts_trivially_on(G, tr)
+        assert hnf_calls == [] and sift_calls == []
         rep = symplectic_action_report(D, G, ns)
         assert rep.fixes_transcendental_pointwise and rep.all_verified
-        assert len(hnf_calls) <= 2
+        # the block's stability check; NS-perp is fixed pointwise
+        assert len(sift_calls) == 1 and not sift_calls[0][2]
         assert contains_calls == []
 
 
