@@ -37,7 +37,6 @@ from .douady import (
     DouadyLattice,
     ExceptionalPair,
     extract_surface_isometry,
-    index_invariant,
     index_norm_solutions,
     is_natural_on_lattice,
     pullback_decomposition,
@@ -56,39 +55,37 @@ def fmt_vec(v) -> str:
     return "(" + ", ".join(str(x) for x in v) + ")"
 
 
+def _entry_on(ws: Workspace, kind: str, name: str, lattice_name: str):
+    """The workspace's ``kind`` ("sublattice" or "isometry") called ``name``,
+    which must be declared on the lattice called ``lattice_name``."""
+    entry = getattr(ws, kind)(name)
+    if entry.lattice != lattice_name:
+        verb = "lives in" if kind == "sublattice" else "acts on"
+        raise WorkspaceError(f"{kind} {name!r} {verb} {entry.lattice!r}, not {lattice_name!r}")
+    return entry
+
+
 def _named_sublattice(
     ws: Workspace, lattice_name: str, sub_name: str
 ) -> tuple[Lattice, Sublattice]:
     L = ws.lattice(lattice_name)
-    entry = ws.sublattice(sub_name)
-    if entry.lattice != lattice_name:
-        raise WorkspaceError(
-            f"sublattice {sub_name!r} lives in {entry.lattice!r}, not {lattice_name!r}"
-        )
+    entry = _entry_on(ws, "sublattice", sub_name, lattice_name)
     return L, Sublattice(L, entry.columns)
-
-
-def _named_isometry_matrix(ws: Workspace, lattice_name: str, iso_name: str):
-    entry = ws.isometry(iso_name)
-    if entry.lattice != lattice_name:
-        raise WorkspaceError(
-            f"isometry {iso_name!r} acts on {entry.lattice!r}, not {lattice_name!r}"
-        )
-    return entry.matrix
 
 
 def _named_isometry(ws: Workspace, args) -> tuple[ExceptionalPair, Isometry]:
     """The lattice and the isometry named on the command line; the matrix
     is checked once, here."""
     target = ws.exceptional(args.lattice)
-    matrix = _named_isometry_matrix(ws, args.lattice, args.isometry)
-    return target, Isometry(target.lattice, matrix)
+    entry = _entry_on(ws, "isometry", args.isometry, args.lattice)
+    return target, Isometry(target.lattice, entry.matrix)
 
 
 def _index_body(target: ExceptionalPair, f: Isometry) -> dict:
-    lam = index_invariant(target, f)  # a Fraction: prints as "p/q", or "p" when whole
+    """The index lam, the same Fraction as index_invariant's (printed as
+    "p/q", or "p" when whole), and d, from one reading of f(e)."""
     dec = pullback_decomposition(target, f)
-    return {"lambda": str(lam), "d": [int(x) for x in dec.d]}
+    return {"lambda": str(dec.lam), "d": [int(x) for x in dec.d]}
 
 
 def _moved_class(target: ExceptionalPair, f: Isometry) -> dict:
@@ -153,8 +150,8 @@ def cmd_complement(ws: Workspace, args) -> dict:
 
 def cmd_isometry_check(ws: Workspace, args) -> dict:
     L = ws.lattice(args.lattice)
-    matrix = _named_isometry_matrix(ws, args.lattice, args.isometry)
-    violation = isometry_violation(L, matrix)
+    entry = _entry_on(ws, "isometry", args.isometry, args.lattice)
+    violation = isometry_violation(L, entry.matrix)
     return {"is_isometry": violation is None, "violation": violation}
 
 

@@ -565,9 +565,12 @@ def full_sublattice(L: Lattice) -> Sublattice:
     return Sublattice(L, identity_matrix(L.rank))
 
 
-def _check_sub(L: Lattice, s: Sublattice) -> None:
-    if s.ambient != L:
-        raise LatticeError("sublattice does not live in this lattice")
+def _check_on(L: Lattice, x, role: str) -> None:
+    """Raise unless the sublattice, isometry or group ``x`` is on ``L``;
+    ``role`` names ``x`` in the error."""
+    if x.ambient != L:
+        verb = "lives in" if isinstance(x, Sublattice) else "acts on"
+        raise LatticeError(f"{role} {verb} a different lattice")
 
 
 def sub_signature(s: Sublattice) -> SignatureTriple:
@@ -577,21 +580,20 @@ def sub_signature(s: Sublattice) -> SignatureTriple:
 
 def rational_span_leq(inner: Sublattice, outer: Sublattice) -> bool:
     """Whether the rational span of ``inner`` sits inside that of ``outer``."""
-    if inner.ambient != outer.ambient:
-        raise LatticeError("sublattices live in different lattices")
+    _check_on(outer.ambient, inner, "sublattice")
     return _sift(outer.basis, inner.basis, rational=True)
 
 
 def orthogonal_complement(L: Lattice, s: Sublattice) -> Sublattice:
     """Everything in L orthogonal to ``s``; always saturated."""
-    _check_sub(L, s)
+    _check_on(L, s, "sublattice")
     # row i of B . G is G . b_i because G is symmetric
     return Sublattice._trusted(L, _kernel(mat_mul(s.basis, L.gram), L.rank))
 
 
 def saturate(L: Lattice, s: Sublattice) -> Sublattice:
     """Primitive closure: (rational span of s) intersected with L."""
-    _check_sub(L, s)
+    _check_on(L, s, "sublattice")
     return Sublattice._trusted(L, _kernel_of_hnf(_kernel_of_hnf(s.basis, L.rank), L.rank))
 
 
@@ -678,8 +680,7 @@ class Isometry:
     def __mul__(self, other):
         if not isinstance(other, Isometry):
             return NotImplemented
-        if other.ambient != self.ambient:
-            raise LatticeError("isometries act on different lattices")
+        _check_on(self.ambient, other, "isometry")
         return Isometry._trusted(self.ambient, mat_mul(self.matrix, other.matrix))
 
 
@@ -690,8 +691,7 @@ def _isometry_matrix(L: Lattice, f, role: str = "isometry") -> Matrix:
     ``role`` names ``f`` in the errors ("isometry" or "generator").
     """
     if isinstance(f, Isometry):
-        if f.ambient != L:
-            raise LatticeError(f"{role} acts on a different lattice")
+        _check_on(L, f, role)
         return f.matrix
     m = as_matrix(f)
     problem = _violation(L, m)

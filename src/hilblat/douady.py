@@ -302,10 +302,12 @@ def extract_surface_isometry(D: ExceptionalPair, f) -> Isometry:
             f"the exceptional class is not fixed (image {fe}); "
             "no surface isometry to extract"
         )
-    # Fixing e makes the last column the last unit vector, and preserving
-    # e-perp makes the last row vanish off the corner.  The block is then an
-    # isometry of the surface block, so it is built without a second check.
-    if any(row[-1] for row in m[:-1]) or any(m[-1][:-1]) or m[-1][-1] != 1:
+    # f(e) = e with e[-1] != 0 already makes the last column the last unit
+    # vector.  Preserving e-perp makes the last row vanish off the corner;
+    # that is checked for an Isometry built by _trusted, which nothing
+    # validated.  The block is then an isometry of the surface block, so it
+    # is built without a second check.
+    if any(m[-1][:-1]):
         raise LatticeError(
             "a natural isometry must be block diagonal (surface part, 1)"
         )

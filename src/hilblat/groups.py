@@ -17,6 +17,7 @@ from .core import (
     SignatureTriple,
     Sublattice,
     Vector,
+    _check_on,
     _combine,
     _hnf,
     _isometry_matrix,
@@ -321,8 +322,7 @@ def ns_classification(L: Lattice, ns: Sublattice) -> NSClassification:
     """
     if discriminant(L) == 0:
         raise LatticeError("ambient lattice must be nondegenerate")
-    if ns.ambient != L:
-        raise LatticeError("sublattice does not live in this lattice")
+    _check_on(L, ns, "sublattice")
     rho = ns.rank
     ns_sig = sub_signature(ns)
     if ns_sig == (1, 0, rho - 1):
@@ -383,8 +383,7 @@ def acts_trivially_on(G: IsometryGroup, s: Sublattice) -> bool:
     raised.  When every generator fixes every basis vector the answer is
     True with no stability test.
     """
-    if s.ambient != G.ambient:
-        raise LatticeError("sublattice lives in a different lattice")
+    _check_on(G.ambient, s, "sublattice")
     return not _moved_images(G, s, "sublattice is not stable under the group")
 
 
@@ -436,10 +435,8 @@ def symplectic_action_report(
     negative definite.  The coinvariant signature is always reported.
     """
     amb = _plain_lattice(target)
-    if G.ambient != amb:
-        raise LatticeError("group acts on a different lattice")
-    if ns.ambient != amb:
-        raise LatticeError("sublattice lives in a different lattice")
+    _check_on(amb, G, "group")
+    _check_on(amb, ns, "sublattice")
     _moved_images(G, ns, "the Neron-Severi block is not stable under the group")
     cls = ns_classification(amb, ns)
     tr = cls.transcendental

@@ -27,7 +27,11 @@ names, ragged or non-integer matrices, length mismatches) raise
 WorkspaceError, and so does an integer longer than
 sys.get_int_max_str_digits() digits unless the caller lifts that cap, as
 the command line does; mathematical failures surface later, when an
-operation runs.
+operation runs.  A Gram matrix that is not square, or an "e" that is not
+a nonzero multiple of the last basis vector of the right length, is
+refused with the message of Lattice or ExceptionalPair after the entry's
+location.  Looking up a name that is not a str, such as
+``Workspace().lattice(5)``, raises WorkspaceError("unknown lattice 5").
 """
 
 from __future__ import annotations
@@ -172,12 +176,7 @@ class Workspace:
 
     def entry(self, name: str) -> LatticeEntry:
         """Resolve a lattice name: workspace entries first, then builtins."""
-        if name in self.lattices:
-            return self.lattices[name]
-        builtin = builtin_lattice(name)
-        if builtin is None:
-            raise WorkspaceError(f"unknown lattice {_show(name)}")
-        return builtin
+        return _named(self.lattices, "lattice", name, builtin_lattice)
 
     def lattice(self, name: str) -> Lattice:
         return _plain_lattice(self.entry(name))
@@ -203,10 +202,16 @@ class Workspace:
         return _named(self.groups, "group", name)
 
 
-def _named(entries: dict, kind: str, name: str):
-    if name not in entries:
-        raise WorkspaceError(f"unknown {kind} {_show(name)}")
-    return entries[name]
+def _named(entries: dict, kind: str, name: str, builtin=None):
+    """The entry called ``name``, else what ``builtin``, when given, resolves
+    it to.  A name that is not a str is unknown."""
+    if isinstance(name, str):
+        if name in entries:
+            return entries[name]
+        found = builtin(name) if builtin else None
+        if found is not None:
+            return found
+    raise WorkspaceError(f"unknown {kind} {_show(name)}")
 
 
 def _parse_lattice(name: str, value) -> LatticeEntry:
@@ -224,8 +229,6 @@ def _parse_lattice(name: str, value) -> LatticeEntry:
     if "gram" not in value:
         raise WorkspaceError(f"{where}: missing 'gram'")
     gram = _matrix(value["gram"], f"{where}.gram")
-    if len(gram) and len(gram[0]) != len(gram):
-        raise WorkspaceError(f"{where}.gram: matrix is not square")
     try:
         lattice = Lattice(len(gram), gram)
     except ValueError as exc:
@@ -233,8 +236,6 @@ def _parse_lattice(name: str, value) -> LatticeEntry:
     if "e" not in value:
         return lattice
     e = _vector(value["e"], f"{where}.e")
-    if len(e) != lattice.rank:
-        raise WorkspaceError(f"{where}.e: length does not match the rank")
     try:
         return ExceptionalPair(lattice, e)
     except ValueError as exc:

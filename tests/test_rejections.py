@@ -1,0 +1,205 @@
+"""The exact text of every rejection at the boundary: unknown names, objects
+on different lattices, shapes that Lattice and ExceptionalPair refuse, and
+the rejections that no other in-process test reaches."""
+
+import json
+
+import pytest
+
+import hilblat.douady as douady
+from hilblat import (
+    ExceptionalPair,
+    Lattice,
+    LatticeError,
+    acts_trivially_on,
+    closure,
+    delta_class,
+    diagonal_lattice,
+    douady_lattice,
+    e_class,
+    full_sublattice,
+    hyperbolic_plane,
+    identity_isometry,
+    iota,
+    mat_vec,
+    ns_classification,
+    orthogonal_complement,
+    psi_first_chern,
+    rational_span_leq,
+    saturate,
+    symplectic_action_report,
+)
+from hilblat.cli import main
+from hilblat.workspace import Workspace, WorkspaceError, parse_workspace
+
+U = hyperbolic_plane()
+# a second rank-2 lattice, so that shapes agree and only the lattice differs
+OTHER = diagonal_lattice((1, -1))
+SWAP = ((0, 1), (1, 0))
+
+
+class TestUnknownNames:
+    """A name that is not a str is unknown, in every lookup."""
+
+    @pytest.mark.parametrize("name, shown", [(5, "5"), (None, "None"), ([], "[]"), ({}, "{}")])
+    @pytest.mark.parametrize(
+        "method, kind",
+        [
+            ("entry", "lattice"),
+            ("lattice", "lattice"),
+            ("exceptional", "lattice"),
+            ("vector", "vector"),
+            ("sublattice", "sublattice"),
+            ("isometry", "isometry"),
+            ("group", "group"),
+        ],
+    )
+    def test_not_a_str(self, method, kind, name, shown):
+        with pytest.raises(WorkspaceError) as exc:
+            getattr(Workspace(), method)(name)
+        assert str(exc.value) == f"unknown {kind} {shown}"
+
+
+class TestDifferentLattices:
+    """One wording per kind of object: a sublattice lives in, an isometry
+    or a group acts on, a different lattice."""
+
+    def test_sublattice_of_another_lattice(self):
+        s = full_sublattice(OTHER)
+        for f in (orthogonal_complement, saturate, ns_classification):
+            with pytest.raises(LatticeError) as exc:
+                f(U, s)
+            assert str(exc.value) == "sublattice lives in a different lattice"
+
+    def test_rational_span_leq(self):
+        with pytest.raises(LatticeError) as exc:
+            rational_span_leq(full_sublattice(U), full_sublattice(OTHER))
+        assert str(exc.value) == "sublattice lives in a different lattice"
+
+    def test_product_of_isometries(self):
+        with pytest.raises(LatticeError) as exc:
+            identity_isometry(U) * identity_isometry(OTHER)
+        assert str(exc.value) == "isometry acts on a different lattice"
+
+    def test_product_with_a_number(self):
+        with pytest.raises(TypeError) as exc:
+            identity_isometry(U) * 3
+        assert str(exc.value) == "unsupported operand type(s) for *: 'Isometry' and 'int'"
+
+    def test_acts_trivially_on(self):
+        G = closure(U, [SWAP])
+        with pytest.raises(LatticeError) as exc:
+            acts_trivially_on(G, full_sublattice(OTHER))
+        assert str(exc.value) == "sublattice lives in a different lattice"
+
+    def test_symplectic_action_report(self):
+        G = closure(U, [SWAP])
+        with pytest.raises(LatticeError) as exc:
+            symplectic_action_report(OTHER, G, full_sublattice(OTHER))
+        assert str(exc.value) == "group acts on a different lattice"
+        with pytest.raises(LatticeError) as exc:
+            symplectic_action_report(U, G, full_sublattice(OTHER))
+        assert str(exc.value) == "sublattice lives in a different lattice"
+
+
+class TestUnreachedRejections:
+    def test_mat_vec_dimensions(self):
+        with pytest.raises(LatticeError) as exc:
+            mat_vec(((1, 2),), (1,))
+        assert str(exc.value) == "matrix and vector dimensions do not match"
+
+    def test_closure_of_a_non_lattice(self):
+        with pytest.raises(LatticeError) as exc:
+            closure("x", [])
+        assert str(exc.value) == "expected a lattice (possibly with exceptional structure)"
+
+    @pytest.mark.parametrize(
+        "gram, e, message",
+        [
+            (((1, 0), (0, -2)), (1,), "exceptional class length does not match the rank"),
+            (((1, 0), (0, -2)), (1, 1),
+             "exceptional class must be a nonzero multiple of the last basis vector"),
+            ((), (), "exceptional class must be a nonzero multiple of the last basis vector"),
+            (((1, 1), (1, -2)), (0, 1),
+             "the exceptional coordinate must be orthogonal to the rest and of nonzero norm"),
+            (((1, 0), (0, 0)), (0, 1),
+             "the exceptional coordinate must be orthogonal to the rest and of nonzero norm"),
+        ],
+        ids=["length", "off-last", "rank-0", "not-orthogonal", "null"],
+    )
+    def test_exceptional_pair(self, gram, e, message):
+        with pytest.raises(LatticeError) as exc:
+            ExceptionalPair(Lattice(len(gram), gram), e)
+        assert str(exc.value) == message
+
+    def test_plain_lattice_is_no_target(self):
+        for call in (lambda: e_class(U), lambda: iota(U, (1,))):
+            with pytest.raises(LatticeError) as exc:
+                call()
+            assert str(exc.value) == "expected a Douady lattice or an exceptional pair"
+
+    def test_douady_only(self):
+        pair = ExceptionalPair(diagonal_lattice((1, -2)), (0, 1))
+        with pytest.raises(LatticeError) as exc:
+            delta_class(pair)
+        assert str(exc.value) == "delta is integral only on the full Douady lattice"
+        with pytest.raises(LatticeError) as exc:
+            psi_first_chern(pair, (1,))
+        assert str(exc.value) == "this Chern-class formula needs the full Douady lattice"
+        with pytest.raises(LatticeError) as exc:
+            psi_first_chern(douady_lattice(2), (1,) * 21)
+        assert str(exc.value) == "surface class must have 22 coordinates"
+
+
+class TestWorkspaceRejections:
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"lattices": {"q": {"gram": [[1, 2]]}}},
+             "lattices.q.gram: Gram matrix must be 1x1"),
+            ({"lattices": {"q": {"gram": [[]]}}},
+             "lattices.q.gram: Gram matrix must be 1x1"),
+            ({"lattices": {"q": {"gram": [[1]], "e": [0, 1]}}},
+             "lattices.q.e: exceptional class length does not match the rank"),
+            ({"lattices": {"q": {"gram": [[1, 0], [0, -2]], "e": [1, 0]}}},
+             "lattices.q.e: exceptional class must be a nonzero multiple "
+             "of the last basis vector"),
+            ({"isometries": {"s": {"lattice": "U", "matrix": [[0, 1], [1, 0]]}},
+              "groups": {"G": {"lattice": "U", "generators": ["s"], "cap": 0}}},
+             "groups.G.cap: must be positive"),
+            ({"vectors": []}, "vectors: expected an object of named entries"),
+        ],
+        ids=["gram-not-square", "gram-empty-row", "e-length", "e-off-last", "cap-0",
+             "section-not-object"],
+    )
+    def test_message(self, data, message):
+        with pytest.raises(WorkspaceError) as exc:
+            parse_workspace(data)
+        assert str(exc.value) == message
+
+    def test_shape_errors_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps({"lattices": {"q": {"gram": [[1, 2]]}}}), encoding="utf-8")
+        assert main(["signature", "q", "--workspace", str(path)]) == 2
+        assert capsys.readouterr().err == "error: lattices.q.gram: Gram matrix must be 1x1\n"
+
+
+def test_index_reads_the_image_of_e_once(tmp_path, monkeypatch, capsys):
+    """`index` prints lambda and d from one pullback decomposition."""
+    calls = []
+    image_of_e = douady._image_of_e
+
+    def counted(D, f):
+        calls.append(f)
+        return image_of_e(D, f)
+
+    monkeypatch.setattr(douady, "_image_of_e", counted)
+    path = tmp_path / "ws.json"
+    data = {
+        "lattices": {"quartic": {"gram": [[4, 0], [0, -8]], "e": [0, 1]}},
+        "isometries": {"inv": {"lattice": "quartic", "matrix": [[3, 4], [-2, -3]]}},
+    }
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["index", "quartic", "inv", "--workspace", str(path)]) == 0
+    assert capsys.readouterr().out == "lambda = -3\nd = (4)\n"
+    assert len(calls) == 1
