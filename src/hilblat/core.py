@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import compress
-from math import gcd
+from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -268,14 +268,15 @@ def _hnf(rows) -> tuple[Vector, ...]:
     """Row Hermite normal form of integer rows of one common width.
 
     The single echelon routine behind ``hermite_basis``, ``rank_of``,
-    ``integer_kernel`` and ``saturation_basis``.  Rows are inserted one at
-    a time (Kannan-Bachem order).  Where a row meets a pivot, Euclid on
-    the two rows leaves the gcd in the pivot row and clears the row's
-    entry, and each changed row is reduced modulo the pivots after it, so
-    its entries in pivot columns stay below those pivots instead of
-    growing from column to column.  A final pass reduces every pivot row
-    modulo the pivots after it.  No input checks: the rows must already
-    be integer tuples or lists of one length.
+    ``integer_kernel`` and ``saturation_basis``; membership (``_sift``)
+    runs its reduction step, ``_reduce``, against a canonical basis.  Rows
+    are inserted one at a time (Kannan-Bachem order).  Where a row meets a
+    pivot, Euclid on the two rows leaves the gcd in the pivot row and
+    clears the row's entry, and each changed row is reduced modulo the
+    pivots after it, so its entries in pivot columns stay below those
+    pivots instead of growing from column to column.  A final pass reduces
+    every pivot row modulo the pivots after it.  No input checks: the rows
+    must already be integer tuples or lists of one length.
     """
     pivots: dict[int, list[int]] = {}
     cols: list[int] = []
@@ -332,27 +333,24 @@ def _sift(basis: tuple[Vector, ...], vectors, rational: bool = False) -> bool:
     """Whether every vector lies in the integer span of a canonical Hermite
     basis, or with ``rational`` in its rational span; no input checks.
 
-    Each vector is reduced against the basis rows in order: the row with
-    pivot column c clears the vector's entry in column c, which the rows
-    after it do not touch, and the vector lies in the span iff nothing is
-    left.  Integrally the entry must be a multiple of the pivot;
-    rationally the vector is first rescaled so that it is, which keeps
-    every entry an integer.
+    Each vector goes through ``_reduce``, the reduction step of ``_hnf``,
+    against the pivot rows, left to right.  Among itself and the rows after
+    it, the row with pivot column c is the only one nonzero in column c,
+    so on a member each floor quotient is the exact coefficient and
+    nothing is left.  The remainder is v minus an integer combination of
+    the rows, so on a non-member it is never zero.
+
+    Rationally the vector is first scaled by P, the product of the pivots.
+    The rows restricted to the pivot columns form a triangular matrix with
+    the pivots on its diagonal, so their span there has index P in Z^r and
+    contains P times every integer vector.  As that restriction is
+    injective on the rational span, P v lies in the integer span exactly
+    when v lies in the rational span.
     """
-    pivots = [next(compress(range(len(row)), row)) for row in basis]
-    for v in vectors:
-        for c, row in zip(pivots, basis):
-            p = row[c]
-            if v[c] % p:
-                if not rational:
-                    return False
-                scale = p // gcd(v[c], p)
-                v = [scale * a for a in v]
-            if q := v[c] // p:
-                v = [a - q * b for a, b in zip(v, row)]
-        if any(v):
-            return False
-    return True
+    cols = [next(compress(range(len(row)), row)) for row in basis]
+    pivots = dict(zip(cols, basis))
+    scale = prod(row[c] for c, row in zip(cols, basis)) if rational else 1
+    return not any(any(_reduce([scale * x for x in v], -1, pivots, cols)) for v in vectors)
 
 
 def _rows(vectors: Iterable[Sequence[int]], width: int) -> list[Vector]:
@@ -473,17 +471,14 @@ def signature(L: Lattice) -> SignatureTriple:
     return L._form[0]
 
 
+def _block_diagonal(a: Matrix, b: Matrix) -> Matrix:
+    """The block matrix (a, 0; 0, b) of two square matrices."""
+    return tuple(row + (0,) * len(b) for row in a) + tuple((0,) * len(a) + row for row in b)
+
+
 def direct_sum(l1: Lattice, l2: Lattice) -> Lattice:
     """Orthogonal direct sum: block-diagonal Gram matrix."""
-    n1, n2 = l1.rank, l2.rank
-    gram = [[0] * (n1 + n2) for _ in range(n1 + n2)]
-    for i in range(n1):
-        for j in range(n1):
-            gram[i][j] = l1.gram[i][j]
-    for i in range(n2):
-        for j in range(n2):
-            gram[n1 + i][n1 + j] = l2.gram[i][j]
-    return Lattice(n1 + n2, tuple(tuple(row) for row in gram))
+    return Lattice(l1.rank + l2.rank, _block_diagonal(l1.gram, l2.gram))
 
 
 def rescale(L: Lattice, k: int) -> Lattice:

@@ -25,6 +25,7 @@ from .core import (
     Matrix,
     Sublattice,
     Vector,
+    _block_diagonal,
     _exact_vector,
     _isometry_matrix,
     as_vector,
@@ -160,12 +161,12 @@ class DouadyLattice(ExceptionalPair):
 
     def __post_init__(self):
         # natural_lift and extract_surface_isometry rely on this block shape
-        corner = (0,) * K3_RANK + (-2 * (_points(self.n) - 1),)
-        expected = tuple(row + (0,) for row in k3_lattice().gram) + (corner,)
+        q = -2 * (_points(self.n) - 1)
+        expected = _block_diagonal(k3_lattice().gram, ((q,),))
         if not isinstance(self.lattice, Lattice) or self.lattice.gram != expected:
             raise LatticeError(
                 f"DOUADY({self.n}) must be the K3 lattice extended by delta "
-                f"with q(delta) = {corner[-1]}"
+                f"with q(delta) = {q}"
             )
 
     @property
@@ -275,10 +276,7 @@ def natural_lift(D: ExceptionalPair, phi) -> Isometry:
     """
     amb, _ = _target(D)
     m = _isometry_matrix(D.surface_block, phi)
-    n = amb.rank
-    rows = [row + (0,) for row in m]
-    rows.append((0,) * (n - 1) + (1,))
-    return Isometry._trusted(amb, tuple(rows))
+    return Isometry._trusted(amb, _block_diagonal(m, ((1,),)))
 
 
 def is_natural_on_lattice(D: ExceptionalPair, f) -> bool:

@@ -323,26 +323,21 @@ def ns_classification(L: Lattice, ns: Sublattice) -> NSClassification:
     if discriminant(L) == 0:
         raise LatticeError("ambient lattice must be nondegenerate")
     _check_on(L, ns, "sublattice")
-    rho = ns.rank
+    rho, b = ns.rank, L.rank
     ns_sig = sub_signature(ns)
-    if ns_sig == (1, 0, rho - 1):
-        kind = NSType.HYPERBOLIC
-    elif ns_sig == (0, 1, rho - 1):
-        kind = NSType.PARABOLIC
-    elif ns_sig == (0, 0, rho):
-        kind = NSType.ELLIPTIC
-    else:
+    patterns = (
+        (NSType.HYPERBOLIC, (1, 0, rho - 1), (2, 0, b - rho - 2)),
+        (NSType.PARABOLIC, (0, 1, rho - 1), (2, 1, b - rho - 3)),
+        (NSType.ELLIPTIC, (0, 0, rho), (3, 0, b - rho - 3)),
+    )
+    match = next((p for p in patterns if p[1] == ns_sig), None)
+    if match is None:
         raise LatticeError(
             f"signature {tuple(ns_sig)} matches no Picard-block pattern"
         )
+    kind, _, expected = match
     tr = orthogonal_complement(L, ns)
     tr_sig = sub_signature(tr)
-    b = L.rank
-    expected = {
-        NSType.HYPERBOLIC: (2, 0, b - rho - 2),
-        NSType.PARABOLIC: (2, 1, b - rho - 3),
-        NSType.ELLIPTIC: (3, 0, b - rho - 3),
-    }[kind]
     return NSClassification(
         ns_type=kind,
         ns_signature=ns_sig,

@@ -74,7 +74,8 @@ def _show(value) -> str:
     """repr(value), for a message naming a value that need not be a str.
     An int with more digits than sys.get_int_max_str_digits() allows, whose
     repr raises, is named by its digit count instead, also inside a list,
-    tuple or dict."""
+    tuple or dict; a value of any other type whose repr raises is named by
+    its type."""
     try:
         return repr(value)
     except ValueError:
@@ -87,7 +88,7 @@ def _show(value) -> str:
             return "[" + ", ".join(map(_show, value)) + "]"
         if isinstance(value, tuple):
             return "(" + ", ".join(map(_show, value)) + ("," if len(value) == 1 else "") + ")"
-        raise
+        return f"<a {type(value).__name__} that cannot be shown>"
 
 
 def _show_keys(keys) -> str:

@@ -252,9 +252,14 @@ class TestWorkspaceMessages:
             ({"vectors": {BIG: {}}}, f"vectors: name {SHOWN} is not Unicode text"),
             ({"groups": {"G": {"lattice": "U", "generators": [BIG]}}},
              f"groups.G: unknown generator {SHOWN}"),
+            ({frozenset({BIG}): 0},
+             "unknown top-level keys [<a frozenset that cannot be shown>]"),
+            ({"lattices": {"L": {"gram": [[{BIG}]]}}},
+             "lattices.L.gram: expected an integer, got <a set that cannot be shown>"),
         ],
         ids=["top-level", "five-types", "lattice-entry", "lattice-name", "in-a-list",
-             "in-a-tuple", "in-a-dict", "big-key", "big-name", "big-generator"],
+             "in-a-tuple", "in-a-dict", "big-key", "big-name", "big-generator",
+             "in-a-frozenset-key", "in-a-set"],
     )
     def test_message(self, data, message):
         with pytest.raises(WorkspaceError) as caught:

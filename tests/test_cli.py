@@ -308,6 +308,12 @@ class TestCommands:
         assert main(["signature", "K3"]) == 0
         assert capsys.readouterr().out == "signature: (3, 0, 19)\n"
 
+    def test_without_an_int_cap(self, monkeypatch, capsys):
+        # Python before 3.10.7 has no int <-> str cap for main to lift
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        assert main(["signature", "K3"]) == 0
+        assert capsys.readouterr().out == "signature: (3, 0, 19)\n"
+
     def test_signature_douady(self, capsys):
         assert main(["signature", "DOUADY(2)"]) == 0
         assert capsys.readouterr().out == "signature: (3, 0, 20)\n"

@@ -148,6 +148,23 @@ class TestDirectSumRescale:
         L = direct_sum(diagonal_lattice((4,)), diagonal_lattice((-8,)))
         assert L.gram == ((4, 0), (0, -8))
 
+    @pytest.mark.parametrize("n1, n2", list(itertools.product(range(4), repeat=2)))
+    def test_entrywise(self, n1, n2):
+        rng = random.Random(10 * n1 + n2)
+        g1, g2 = random_symmetric_gram(rng, n1), random_symmetric_gram(rng, n2)
+
+        def entry(i, j):
+            if i < n1 and j < n1:
+                return g1[i][j]
+            if i >= n1 and j >= n1:
+                return g2[i - n1][j - n1]
+            return 0
+
+        n = n1 + n2
+        expected = tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+        L = direct_sum(Lattice.from_gram(g1), Lattice.from_gram(g2))
+        assert L.rank == n and L.gram == expected
+
     def test_rescale_e8(self):
         assert signature(rescale(e8_lattice(), -1)) == (0, 0, 8)
 

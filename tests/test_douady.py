@@ -233,6 +233,21 @@ class TestNaturalLift:
         assert lift.apply(D2.delta) == D2.delta
         assert index_invariant(D2, lift) == 1
 
+    @pytest.mark.parametrize(
+        "D", [D2, douady_lattice(3), beauville_fixture()[0]],
+        ids=["DOUADY(2)", "DOUADY(3)", "beauville"],
+    )
+    def test_rows_are_padded_surface_rows(self, D):
+        # (phi, 1): each row of phi gets a 0, then the unit row of e is appended
+        r = D.surface_block.rank
+        phis = [identity_matrix(r), tuple(tuple(-x for x in row) for row in identity_matrix(r))]
+        if D.surface_block == K3:
+            rng = random.Random(29)
+            phis += [random_reflection_product(K3, rng, max_length=3) for _ in range(3)]
+        for phi in phis:
+            padded = tuple(row + (0,) for row in phi) + ((0,) * r + (1,),)
+            assert natural_lift(D, phi).matrix == padded
+
 
 class TestNaturalityCriterion:
     def test_lift_is_natural(self):

@@ -12,7 +12,7 @@ import itertools
 import random
 import signal
 from contextlib import contextmanager
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -322,6 +322,22 @@ class TestSift:
         assert core._sift(basis, [(1, 0, 0), (0, 1, 0)], rational=True)
         assert not core._sift(basis, [(0, 0, 1)], rational=True)
         assert core._sift((), [(0, 0, 0)]) and not core._sift((), [(0, 1, 0)])
+
+    @pytest.mark.parametrize(
+        "basis, index",
+        [(((2, 0, 1), (0, 3, 1)), 1), (((2, 0, 0), (0, 3, 1)), 2), (((2, 0, 0), (0, 3, 0)), 6)],
+        ids=["saturated", "proper-divisor", "pivot-product"],
+    )
+    def test_rational_membership_scales_by_the_pivot_product(self, basis, index):
+        # pivots 2 and 3, so P = 6; [saturation : span] is 1, 2 or 6
+        def pivot_product(rows):
+            return prod(next(x for x in row if x) for row in rows)
+
+        assert hermite_basis(basis, 3) == basis
+        assert pivot_product(basis) // pivot_product(saturation_basis(basis, 3)) == index
+        for v in itertools.product(range(-3, 4), repeat=3):
+            assert core._sift(basis, [v]) == (hermite_basis([*basis, v], 3) == basis)
+            assert core._sift(basis, [v], rational=True) == (rank_of([*basis, v], 3) == 2)
 
 
 class TestKernelByBruteForce:

@@ -624,6 +624,38 @@ class TestClassification:
             assert tuple(cls.tr_signature) == expected_tr
             assert cls.companion_ok
 
+    @pytest.mark.parametrize("pos, zero, neg", list(itertools.product(range(3), repeat=3)))
+    @pytest.mark.parametrize("extra", [(), (2, 2, -2), (2, 2, 2, -2)])
+    def test_agrees_with_the_two_tables(self, pos, zero, neg, extra):
+        # one isotropic line from each of `zero` copies of U, then pos lines
+        # of norm 2 and neg of norm -2, in an ambient widened by `extra`
+        L = diagonal_lattice((2,) * pos + (-2,) * neg + extra)
+        for _ in range(zero):
+            L = direct_sum(U, L)
+        rows = [L.basis_vector(2 * i) for i in range(zero)]
+        rows += [L.basis_vector(2 * zero + i) for i in range(pos + neg)]
+        ns = Sublattice(L, rows)
+        rho, b, sig = len(rows), L.rank, (pos, zero, neg)
+        if sig == (1, 0, rho - 1):
+            kind = NSType.HYPERBOLIC
+        elif sig == (0, 1, rho - 1):
+            kind = NSType.PARABOLIC
+        elif sig == (0, 0, rho):
+            kind = NSType.ELLIPTIC
+        else:
+            with pytest.raises(LatticeError, match="matches no Picard-block pattern"):
+                ns_classification(L, ns)
+            return
+        expected = {
+            NSType.HYPERBOLIC: (2, 0, b - rho - 2),
+            NSType.PARABOLIC: (2, 1, b - rho - 3),
+            NSType.ELLIPTIC: (3, 0, b - rho - 3),
+        }[kind]
+        cls = ns_classification(L, ns)
+        assert cls.ns_type is kind and cls.ns_signature == sig
+        assert cls.expected_tr_signature == expected
+        assert cls.companion_ok == (tuple(cls.tr_signature) == expected)
+
     def test_pattern_mismatch_is_an_error(self):
         L = diagonal_lattice((1, 1))
         with pytest.raises(LatticeError):
