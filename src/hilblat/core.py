@@ -10,11 +10,11 @@ operation states otherwise.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import compress
 from math import prod
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -58,6 +58,67 @@ Matrix = tuple[tuple[int, ...], ...]
 
 class LatticeError(ValueError):
     """A mathematical precondition was violated."""
+
+
+class _Record:
+    """Base of the library's value and report types: named fields, equal
+    and hashed as the tuple of their values.
+
+    The fields are each subclass's own annotated names, in order, after
+    those of its bases.  The constructor takes them by position or by
+    keyword, then runs ``__post_init__``, which may normalise a field
+    with ``object.__setattr__``; after that, assignment and deletion raise
+    AttributeError.  Only instances of one class compare equal.  The repr
+    leaves out the fields whose names start with an underscore.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__annotations__)
+        cls._field_values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) > len(names):
+            raise TypeError(
+                f"{type(self).__name__}() takes {len(names)} fields, got {len(args)}"
+            )
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(
+                    f"{type(self).__name__}() got an unknown or repeated field {name!r}"
+                )
+            values[name] = value
+        if len(values) < len(names):
+            missing = ", ".join(name for name in names if name not in values)
+            raise TypeError(f"{type(self).__name__}() is missing the fields {missing}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check or normalise the fields; a subclass's own rules go here."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._field_values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(self._field_values(self))
+
+    def __repr__(self):
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields if name[0] != "_")
+        return f"{type(self).__qualname__}({', '.join(shown)})"
 
 
 def _entry(x) -> int:
@@ -396,8 +457,7 @@ def saturation_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[Vect
     return _kernel_of_hnf(_kernel(_rows(vectors, width), width), width)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(_Record):
     """A free Z-module of finite rank with an integral symmetric Gram matrix.
 
     Rank-0 lattices are legal and act as direct-sum identities.
@@ -494,8 +554,7 @@ def discriminant(L: Lattice) -> int:
     return L._form[1]
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(_Record):
     """A finitely generated sublattice, stored on a canonical Hermite basis.
 
     The public constructor validates and reduces its generators.
@@ -640,8 +699,7 @@ def is_isometry(L: Lattice, matrix) -> bool:
     return isometry_violation(L, matrix) is None
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(_Record):
     """A Gram-preserving integer matrix acting on lattice coordinates.
 
     Column j is the image of the j-th basis vector.  The public constructor

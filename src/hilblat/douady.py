@@ -13,7 +13,6 @@ such as the rank-2 quartic one is another case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import NamedTuple
@@ -28,6 +27,7 @@ from .core import (
     _block_diagonal,
     _exact_vector,
     _isometry_matrix,
+    _Record,
     as_vector,
     diagonal_lattice,
     direct_sum,
@@ -110,8 +110,7 @@ def _points(n) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class ExceptionalPair:
+class ExceptionalPair(_Record):
     """A lattice with a designated exceptional class e in its last coordinate.
 
     The class must be a nonzero multiple of the last basis vector, which
@@ -147,7 +146,6 @@ class ExceptionalPair:
         return Lattice(self.lattice.rank - 1, rows)
 
 
-@dataclass(frozen=True, init=False)
 class DouadyLattice(ExceptionalPair):
     """Second-cohomology lattice of the Douady space of n points on a K3
     surface: the K3 lattice extended by Z*delta in the last coordinate,
@@ -156,8 +154,7 @@ class DouadyLattice(ExceptionalPair):
     n: int
 
     def __init__(self, n: int, full: Lattice):
-        object.__setattr__(self, "n", n)
-        super().__init__(full, (0,) * K3_RANK + (2,))
+        super().__init__(full, (0,) * K3_RANK + (2,), n)
 
     def __post_init__(self):
         # natural_lift and extract_surface_isometry rely on this block shape
@@ -370,8 +367,7 @@ def same_positive_cone_component(L: Lattice, x, y) -> bool:
     return pairing(L, x, y) > 0
 
 
-@dataclass(frozen=True)
-class KahlerCandidateReport:
+class KahlerCandidateReport(_Record):
     """Truth values of the three lattice-level conditions a Kaehler class
     must satisfy, for a class omega = iota(omega_0) + lam * e.
 

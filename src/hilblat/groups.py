@@ -3,7 +3,6 @@ sublattices, and signature-type classification of Picard blocks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import itemgetter, sub
@@ -22,6 +21,7 @@ from .core import (
     _hnf,
     _isometry_matrix,
     _kernel,
+    _Record,
     _sift,
     _support,
     as_matrix,
@@ -63,8 +63,7 @@ def _plain_lattice(target) -> Lattice:
     raise LatticeError("expected a lattice (possibly with exceptional structure)")
 
 
-@dataclass(frozen=True, eq=False)
-class IsometryGroup:
+class IsometryGroup(_Record):
     """A finite isometry group, held as the permutations it induces on the
     orbit of the basis vectors.
 
@@ -86,12 +85,12 @@ class IsometryGroup:
     ambient: Lattice
     generators: tuple[Matrix, ...]
     # orbit point -> its index, in index order; basis vector j has index j
-    _index: dict[Vector, int] = field(repr=False)
+    _index: dict[Vector, int]
     # the positions of the basis vectors that some generator moves
-    _moved: tuple[int, ...] = field(repr=False)
-    _tuples: frozenset[tuple[int, ...]] = field(repr=False)
+    _moved: tuple[int, ...]
+    _tuples: frozenset[tuple[int, ...]]
     # per generator, the (row, value) pairs of each column
-    _columns: tuple[list[list[tuple[int, int]]], ...] = field(repr=False)
+    _columns: tuple[list[list[tuple[int, int]]], ...]
 
     @property
     def order(self) -> int:
@@ -246,8 +245,7 @@ def coinvariant_sublattice(G: IsometryGroup) -> Sublattice:
     return G._coinvariant
 
 
-@dataclass(frozen=True)
-class PairReport:
+class PairReport(_Record):
     """Checks on the fixed sublattice and its orthogonal complement."""
 
     invariant: Sublattice
@@ -300,8 +298,7 @@ class NSType(Enum):
     ELLIPTIC = "Elliptic"  # (0, 0, r)
 
 
-@dataclass(frozen=True)
-class NSClassification:
+class NSClassification(_Record):
     ns_type: NSType
     ns_signature: SignatureTriple
     tr_signature: SignatureTriple
@@ -387,8 +384,7 @@ def is_negative_definite(s: Sublattice) -> bool:
     return sub_signature(s) == (0, 0, s.rank)
 
 
-@dataclass(frozen=True)
-class SymplecticActionReport:
+class SymplecticActionReport(_Record):
     """Verification record for a group action modeling a symplectic
     automorphism group at the lattice level.
 

@@ -38,9 +38,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 
-from .core import _INT, Lattice, Matrix, Vector
+from .core import _INT, Lattice, Matrix, Vector, _Record
 from .douady import (
     ExceptionalPair,
     douady_lattice,
@@ -126,26 +125,22 @@ def _matrix(value, where: str) -> Matrix:
     return rows
 
 
-@dataclass(frozen=True)
-class NamedVector:
+class NamedVector(_Record):
     lattice: str
     coords: Vector
 
 
-@dataclass(frozen=True)
-class NamedSublattice:
+class NamedSublattice(_Record):
     lattice: str
     columns: tuple[Vector, ...]
 
 
-@dataclass(frozen=True)
-class NamedIsometry:
+class NamedIsometry(_Record):
     lattice: str
     matrix: Matrix
 
 
-@dataclass(frozen=True)
-class NamedGroup:
+class NamedGroup(_Record):
     lattice: str
     generators: tuple[str, ...]
     cap: int
@@ -167,13 +162,24 @@ def builtin_lattice(name: str) -> LatticeEntry | None:
     return None
 
 
-@dataclass
-class Workspace:
-    lattices: dict[str, LatticeEntry] = field(default_factory=dict)
-    vectors: dict[str, NamedVector] = field(default_factory=dict)
-    sublattices: dict[str, NamedSublattice] = field(default_factory=dict)
-    isometries: dict[str, NamedIsometry] = field(default_factory=dict)
-    groups: dict[str, NamedGroup] = field(default_factory=dict)
+class Workspace(_Record):
+    """The named entries of a workspace file, one dict per section.  Unlike
+    the other records it is mutable, and so unhashable."""
+
+    lattices: dict[str, LatticeEntry]
+    vectors: dict[str, NamedVector]
+    sublattices: dict[str, NamedSublattice]
+    isometries: dict[str, NamedIsometry]
+    groups: dict[str, NamedGroup]
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, *args, **sections):
+        """Each section that is not given starts as a new empty dict."""
+        empty = {name: {} for name in self._fields[len(args):] if name not in sections}
+        super().__init__(*args, **empty, **sections)
 
     def entry(self, name: str) -> LatticeEntry:
         """Resolve a lattice name: workspace entries first, then builtins."""

@@ -1,4 +1,8 @@
-"""The public names of the package: what ``from hilblat import *`` gives."""
+"""The public names of the package: what ``from hilblat import *`` gives,
+and the README's library tour, which uses them."""
+
+import re
+from pathlib import Path
 
 import hilblat
 from hilblat import core, douady, groups, workspace
@@ -53,3 +57,11 @@ def test_each_module_declares_its_own_names():
     for module in modules:
         for name in module.__all__:
             assert getattr(hilblat, name) is getattr(module, name)
+
+
+def test_readme_python_blocks_run():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -1,11 +1,15 @@
 """Static checks on the library's source files."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hilblat
 
-SOURCES = sorted(Path(hilblat.__file__).parent.glob("*.py"))
+PACKAGE = Path(hilblat.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def test_sources_found():
@@ -58,3 +62,28 @@ def test_unused_import_is_found():
     source = "from math import gcd, prod\nimport os.path\n__all__ = ['prod']\n"
     assert unused_imports(source) == ["gcd (line 1)", "os (line 2)"]
     assert unused_imports(source + "os.sep\ngcd(1, 2)\n") == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every command runs in a fresh process, so these imports cost each run
+    # several milliseconds; -S keeps the host's site hooks out of the count
+    code = (
+        "import sys; before = set(sys.modules); import hilblat.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert "hilblat.cli" in out
+    assert {"dataclasses", "inspect"}.isdisjoint(out)
+
+
+def test_no_module_imports_dataclasses():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert found == []
