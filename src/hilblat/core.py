@@ -101,6 +101,15 @@ class _Record:
     def __post_init__(self):
         """Check or normalise the fields; a subclass's own rules go here."""
 
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance with the field ``values``, in order, made without
+        ``__post_init__``: for values the library built itself, which are
+        valid and normalised by construction."""
+        record = object.__new__(cls)
+        record.__dict__.update(zip(cls._fields, values))
+        return record
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -559,8 +568,9 @@ class Sublattice(_Record):
 
     The public constructor validates and reduces its generators.
     Sublattices the library builds itself (complements, saturations and
-    fixed lattices) are canonical by construction and are not checked
-    again.
+    fixed lattices) are canonical by construction and are made by
+    ``_trusted``, unchecked: their basis must already be a canonical Hermite
+    basis of independent integer row tuples of length ``ambient.rank``.
     """
 
     ambient: Lattice
@@ -572,18 +582,6 @@ class Sublattice(_Record):
         if len(canon) != len(vecs):
             raise LatticeError("sublattice generators are linearly dependent")
         object.__setattr__(self, "basis", canon)
-
-    @classmethod
-    def _trusted(cls, ambient: Lattice, basis: tuple[Vector, ...]) -> "Sublattice":
-        """A sublattice the library built itself: no validation.
-
-        ``basis`` must already be a canonical Hermite basis of independent
-        integer row tuples of length ``ambient.rank``.
-        """
-        s = object.__new__(cls)
-        object.__setattr__(s, "ambient", ambient)
-        object.__setattr__(s, "basis", basis)
-        return s
 
     @cached_property
     def saturated(self) -> bool:
@@ -706,8 +704,9 @@ class Isometry(_Record):
     validates the matrix; so does every function that accepts a raw
     matrix, through ``_isometry_matrix``.  Isometries the library builds
     itself (products, the identity, reflections, natural lifts and
-    extracted surface blocks) are isometries by construction and are not
-    checked again.
+    extracted surface blocks) are isometries by construction and are made
+    by ``_trusted``, unchecked: their matrix must already be a tuple of
+    integer row tuples.
     """
 
     ambient: Lattice
@@ -715,17 +714,6 @@ class Isometry(_Record):
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _isometry_matrix(self.ambient, self.matrix))
-
-    @classmethod
-    def _trusted(cls, ambient: Lattice, matrix: Matrix) -> "Isometry":
-        """An isometry known to be one by construction: no validation.
-
-        ``matrix`` must already be a tuple of integer row tuples.
-        """
-        f = object.__new__(cls)
-        object.__setattr__(f, "ambient", ambient)
-        object.__setattr__(f, "matrix", matrix)
-        return f
 
     def apply(self, v) -> Vector:
         return mat_vec(self.matrix, as_vector(v))

@@ -2,8 +2,10 @@
 groups, described in JSON.
 
 Top-level keys (all optional): "lattices", "vectors", "sublattices",
-"isometries", "groups".  Integer entries may be JSON numbers or decimal
-strings (strings protect arbitrary precision).
+"isometries", "groups".  Integer entries may be JSON numbers or strings of
+ASCII decimal digits (strings protect arbitrary precision).
+parse_workspace takes the text of the document, load_workspace the path
+of a UTF-8 file holding it.
 
     {
       "lattices": {
@@ -30,8 +32,8 @@ the command line does; mathematical failures surface later, when an
 operation runs.  A Gram matrix that is not square, or an "e" that is not
 a nonzero multiple of the last basis vector of the right length, is
 refused with the message of Lattice or ExceptionalPair after the entry's
-location.  Looking up a name that is not a str, such as
-``Workspace().lattice(5)``, raises WorkspaceError("unknown lattice 5").
+location.  A lookup such as Workspace.lattice refuses a name that is not a
+str with a WorkspaceError that names its type.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ __all__ = [
     "parse_workspace",
 ]
 
-_DOUADY_RE = re.compile(r"DOUADY\((-?\d+)\)")
+_DOUADY_RE = re.compile(r"DOUADY\((-?[0-9]+)\)")
 # the five sections, in the order they are checked and parsed
 _SECTIONS = ("lattices", "vectors", "sublattices", "isometries", "groups")
 # a str encodes as UTF-8 unless it holds a surrogate code point
@@ -69,42 +71,15 @@ class WorkspaceError(ValueError):
     """The workspace file is malformed or a name does not resolve."""
 
 
-def _show(value) -> str:
-    """repr(value), for a message naming a value that need not be a str.
-    An int with more digits than sys.get_int_max_str_digits() allows, whose
-    repr raises, is named by its digit count instead, also inside a list,
-    tuple or dict; a value of any other type whose repr raises is named by
-    its type."""
-    try:
-        return repr(value)
-    except ValueError:
-        if isinstance(value, int):
-            digits = int(abs(value).bit_length() * 0.30102999566398120)  # the count or one less
-            return f"<an integer of {digits + (abs(value) >= 10**digits)} digits>"
-        if isinstance(value, dict):
-            return "{" + ", ".join(f"{_show(k)}: {_show(v)}" for k, v in value.items()) + "}"
-        if isinstance(value, list):
-            return "[" + ", ".join(map(_show, value)) + "]"
-        if isinstance(value, tuple):
-            return "(" + ", ".join(map(_show, value)) + ("," if len(value) == 1 else "") + ")"
-        return f"<a {type(value).__name__} that cannot be shown>"
-
-
-def _show_keys(keys) -> str:
-    """The keys as a list in a fixed order: the str keys sorted, then any
-    others sorted by their text."""
-    return _show(sorted(keys, key=lambda k: (0, k) if isinstance(k, str) else (1, _show(k))))
-
-
 def _int(value, where: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and re.fullmatch(r"-?\d+", value):
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
         try:
             return int(value)
         except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
             raise WorkspaceError(f"{where}: {exc}") from None
-    raise WorkspaceError(f"{where}: expected an integer, got {_show(value)}")
+    raise WorkspaceError(f"{where}: expected an integer, got {value!r}")
 
 
 def _vector(value, where: str) -> Vector:
@@ -193,7 +168,7 @@ class Workspace(_Record):
         if isinstance(entry, ExceptionalPair):
             return entry
         raise WorkspaceError(
-            f"lattice {_show(name)} has no designated exceptional class"
+            f"lattice {name!r} has no designated exceptional class"
         )
 
     def vector(self, name: str) -> NamedVector:
@@ -211,14 +186,15 @@ class Workspace(_Record):
 
 def _named(entries: dict, kind: str, name: str, builtin=None):
     """The entry called ``name``, else what ``builtin``, when given, resolves
-    it to.  A name that is not a str is unknown."""
-    if isinstance(name, str):
-        if name in entries:
-            return entries[name]
-        found = builtin(name) if builtin else None
-        if found is not None:
-            return found
-    raise WorkspaceError(f"unknown {kind} {_show(name)}")
+    it to.  A name that is not a str is unknown, and named by its type."""
+    if not isinstance(name, str):
+        raise WorkspaceError(f"unknown {kind}: a name must be a str, not {type(name).__name__}")
+    if name in entries:
+        return entries[name]
+    found = builtin(name) if builtin else None
+    if found is None:
+        raise WorkspaceError(f"unknown {kind} {name!r}")
+    return found
 
 
 def _parse_lattice(name: str, value) -> LatticeEntry:
@@ -232,7 +208,7 @@ def _parse_lattice(name: str, value) -> LatticeEntry:
         raise WorkspaceError(f"{where}: expected a builtin name or an object")
     unknown = set(value) - {"gram", "e"}
     if unknown:
-        raise WorkspaceError(f"{where}: unknown keys {_show_keys(unknown)}")
+        raise WorkspaceError(f"{where}: unknown keys {sorted(unknown)!r}")
     if "gram" not in value:
         raise WorkspaceError(f"{where}: missing 'gram'")
     gram = _matrix(value["gram"], f"{where}.gram")
@@ -249,20 +225,40 @@ def _parse_lattice(name: str, value) -> LatticeEntry:
         raise WorkspaceError(f"{where}.e: {exc}") from exc
 
 
-def parse_workspace(data) -> Workspace:
-    """Build a Workspace from decoded JSON, validating structure and references."""
+def _reject_duplicate_names(pairs):
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise WorkspaceError(f"duplicate name {key!r}")
+        out[key] = value
+    return out
+
+
+def parse_workspace(text: str) -> Workspace:
+    """Build a Workspace from the text of a JSON document, validating its
+    structure and references."""
+    try:
+        data = json.loads(text, object_pairs_hook=_reject_duplicate_names)
+    except json.JSONDecodeError as exc:
+        raise WorkspaceError(f"workspace file is not valid JSON: {exc}") from exc
+    except WorkspaceError:  # a duplicate name, raised by the decoder's hook
+        raise
+    except ValueError as exc:  # a number with more digits than the int <-> str cap
+        raise WorkspaceError(f"workspace file: {exc}") from exc
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise WorkspaceError("workspace file nests arrays or objects too deeply") from None
     if not isinstance(data, dict):
         raise WorkspaceError("workspace must be a JSON object")
     unknown = set(data) - set(_SECTIONS)
     if unknown:
-        raise WorkspaceError(f"unknown top-level keys {_show_keys(unknown)}")
+        raise WorkspaceError(f"unknown top-level keys {sorted(unknown)!r}")
     for key in _SECTIONS:
         section = data.get(key, {})
         if not isinstance(section, dict):
             raise WorkspaceError(f"{key}: expected an object of named entries")
         for name in section:
-            if not isinstance(name, str) or _SURROGATE.search(name):
-                raise WorkspaceError(f"{key}: name {_show(name)} is not Unicode text")
+            if _SURROGATE.search(name):
+                raise WorkspaceError(f"{key}: name {name!r} is not Unicode text")
     ws = Workspace()
     for name, value in data.get("lattices", {}).items():
         ws.lattices[name] = _parse_lattice(name, value)
@@ -270,7 +266,7 @@ def parse_workspace(data) -> Workspace:
     def _resolved_rank(lattice_name, where: str) -> int:
         if not isinstance(lattice_name, str):
             raise WorkspaceError(
-                f"{where}.lattice: expected a lattice name, got {_show(lattice_name)}"
+                f"{where}.lattice: expected a lattice name, got {lattice_name!r}"
             )
         try:
             return ws.lattice(lattice_name).rank
@@ -312,7 +308,7 @@ def parse_workspace(data) -> Workspace:
         gen_names = _as_list(value["generators"], where)
         for gen in gen_names:
             if not isinstance(gen, str) or gen not in ws.isometries:
-                raise WorkspaceError(f"{where}: unknown generator {_show(gen)}")
+                raise WorkspaceError(f"{where}: unknown generator {gen!r}")
             if ws.isometries[gen].lattice != value["lattice"]:
                 raise WorkspaceError(
                     f"{where}: generator {gen!r} acts on a different lattice"
@@ -330,32 +326,15 @@ def _as_list(value, where: str) -> list:
     return value
 
 
-def _reject_duplicate_names(pairs):
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise WorkspaceError(f"duplicate name {key!r}")
-        out[key] = value
-    return out
-
-
 def load_workspace(path: str | None) -> Workspace:
     """Load a workspace file; None yields the builtins-only workspace."""
     if path is None:
         return Workspace()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle, object_pairs_hook=_reject_duplicate_names)
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise WorkspaceError(f"cannot read workspace file: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise WorkspaceError(f"workspace file is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise WorkspaceError(f"workspace file is not valid JSON: {exc}") from exc
-    except WorkspaceError:  # a duplicate name, raised by the decoder's hook
-        raise
-    except ValueError as exc:  # a number with more digits than the int <-> str cap
-        raise WorkspaceError(f"workspace file {path}: {exc}") from exc
-    except RecursionError:  # the decoder recurses once per nesting level
-        raise WorkspaceError("workspace file nests arrays or objects too deeply") from None
-    return parse_workspace(data)
+    return parse_workspace(text)

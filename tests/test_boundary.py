@@ -3,7 +3,6 @@ accept and reject exactly what the old per-entry checks did, with the same
 values, exception types and messages."""
 
 import enum
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -209,64 +208,3 @@ class TestBoundaryMessages:
         with pytest.raises(LatticeError, match=r"^matrix size does not match the lattice rank$"):
             isometry_violation(L, m)
 
-
-@pytest.fixture
-def default_int_cap():
-    """Python's default cap of 4300 digits on int <-> str conversion."""
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
-
-
-BIG = 10**5000  # 5001 digits, over the default cap
-SHOWN = "<an integer of 5001 digits>"
-
-
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int <-> str cap")
-@pytest.mark.usefixtures("default_int_cap")
-class TestWorkspaceMessages:
-    """parse_workspace names every key and value in its messages, in a fixed
-    order, and raises WorkspaceError with the location also for keys of
-    mixed types and for an int too long to print."""
-
-    @pytest.mark.parametrize(
-        "data, message",
-        [
-            ({1: 0, "a": 0}, "unknown top-level keys ['a', 1]"),
-            ({"b": 0, (2,): 0, None: 0, -3: 0, "a": 0},
-             "unknown top-level keys ['a', 'b', (2,), -3, None]"),
-            ({"lattices": {"L": {"gram": [[1]], 1: 0, "x": 0}}},
-             "lattices.L: unknown keys ['x', 1]"),
-            ({"vectors": {"v": {"lattice": BIG, "coords": []}}},
-             f"vectors.v.lattice: expected a lattice name, got {SHOWN}"),
-            ({"lattices": {"L": {"gram": [[[-BIG, 1]]]}}},
-             f"lattices.L.gram: expected an integer, got [{SHOWN}, 1]"),
-            ({"lattices": {"L": {"gram": [[(BIG,)]]}}},
-             f"lattices.L.gram: expected an integer, got ({SHOWN},)"),
-            ({"lattices": {"L": {"gram": [[{BIG: (1, BIG)}]]}}},
-             f"lattices.L.gram: expected an integer, got {{{SHOWN}: (1, {SHOWN})}}"),
-            ({BIG: 0, "a": 0}, f"unknown top-level keys ['a', {SHOWN}]"),
-            ({"vectors": {BIG: {}}}, f"vectors: name {SHOWN} is not Unicode text"),
-            ({"groups": {"G": {"lattice": "U", "generators": [BIG]}}},
-             f"groups.G: unknown generator {SHOWN}"),
-            ({frozenset({BIG}): 0},
-             "unknown top-level keys [<a frozenset that cannot be shown>]"),
-            ({"lattices": {"L": {"gram": [[{BIG}]]}}},
-             "lattices.L.gram: expected an integer, got <a set that cannot be shown>"),
-        ],
-        ids=["top-level", "five-types", "lattice-entry", "lattice-name", "in-a-list",
-             "in-a-tuple", "in-a-dict", "big-key", "big-name", "big-generator",
-             "in-a-frozenset-key", "in-a-set"],
-    )
-    def test_message(self, data, message):
-        with pytest.raises(WorkspaceError) as caught:
-            workspace.parse_workspace(data)
-        assert str(caught.value) == message
-
-    @pytest.mark.parametrize("digits", [4301, 4302, 5001, 12345])
-    def test_digit_count(self, digits):
-        for n in (10 ** (digits - 1), 10**digits - 1, 7 * 10 ** (digits - 1) + 3):
-            assert workspace._show(n) == workspace._show(-n) == f"<an integer of {digits} digits>"

@@ -158,60 +158,60 @@ class TestWorkspaceParsing:
 
     def test_decimal_strings_preserve_precision(self):
         big = 10**40
-        ws = parse_workspace(
+        ws = parse_workspace(json.dumps(
             {"lattices": {"L": {"gram": [[str(big)]]}}}
-        )
+        ))
         assert ws.lattice("L").gram == ((big,),)
 
     def test_float_entries_rejected(self):
         with pytest.raises(WorkspaceError):
-            parse_workspace({"lattices": {"L": {"gram": [[1.5]]}}})
+            parse_workspace(json.dumps({"lattices": {"L": {"gram": [[1.5]]}}}))
 
     def test_ragged_matrix_rejected(self):
         with pytest.raises(WorkspaceError):
-            parse_workspace({"lattices": {"L": {"gram": [[1, 0], [0]]}}})
+            parse_workspace(json.dumps({"lattices": {"L": {"gram": [[1, 0], [0]]}}}))
 
     def test_asymmetric_gram_rejected(self):
         with pytest.raises(WorkspaceError):
-            parse_workspace({"lattices": {"L": {"gram": [[0, 1], [2, 0]]}}})
+            parse_workspace(json.dumps({"lattices": {"L": {"gram": [[0, 1], [2, 0]]}}}))
 
     def test_unresolved_reference_rejected(self):
         with pytest.raises(WorkspaceError):
-            parse_workspace(
+            parse_workspace(json.dumps(
                 {"vectors": {"v": {"lattice": "missing", "coords": [1, 0]}}}
-            )
+            ))
 
     def test_vector_length_checked(self):
         with pytest.raises(WorkspaceError):
-            parse_workspace(
+            parse_workspace(json.dumps(
                 {
                     "lattices": {"quartic": QUARTIC},
                     "vectors": {"v": {"lattice": "quartic", "coords": [1]}},
                 }
-            )
+            ))
 
     def test_group_cap_defaults_to_the_closure_cap(self):
-        ws = parse_workspace(
+        ws = parse_workspace(json.dumps(
             {
                 "lattices": {"plane": "U"},
                 "isometries": {"swap": {"lattice": "plane", "matrix": [[0, 1], [1, 0]]}},
                 "groups": {"G": {"lattice": "plane", "generators": ["swap"]}},
             }
-        )
+        ))
         assert ws.group("G").cap == groups.DEFAULT_CLOSURE_CAP
 
     def test_group_generators_must_share_lattice(self):
         with pytest.raises(WorkspaceError):
-            parse_workspace(
+            parse_workspace(json.dumps(
                 {
                     "lattices": {"quartic": QUARTIC},
                     "isometries": {"inv": INVOLUTION},
                     "groups": {"G": {"lattice": "U", "generators": ["inv"]}},
                 }
-            )
+            ))
 
     def test_exceptional_resolution(self):
-        ws = parse_workspace({"lattices": {"quartic": QUARTIC, "plane": "U"}})
+        ws = parse_workspace(json.dumps({"lattices": {"quartic": QUARTIC, "plane": "U"}}))
         assert ws.exceptional("quartic").e == (0, 1)
         assert ws.exceptional("DOUADY(2)").n == 2
         with pytest.raises(WorkspaceError):
@@ -236,17 +236,17 @@ class TestWorkspaceParsing:
     )
     def test_structural_fault_messages(self, data, lookup, message):
         with pytest.raises(WorkspaceError) as caught:
-            ws = parse_workspace(data)
+            ws = parse_workspace(json.dumps(data))
             if lookup:
                 getattr(ws, lookup[0])(lookup[1])
         assert str(caught.value) == message
 
     @pytest.mark.parametrize("section", SECTIONS)
-    @pytest.mark.parametrize("name", ["\ud800", "\udc80", 5])
+    @pytest.mark.parametrize("name", ["\ud800", "\udc80"])
     def test_names_are_unicode_text(self, section, name):
         # a lone surrogate is legal in a JSON string but cannot be printed
         with pytest.raises(WorkspaceError) as caught:
-            parse_workspace({section: {name: "U"}})
+            parse_workspace(json.dumps({section: {name: "U"}}))
         assert str(caught.value) == f"{section}: name {name!r} is not Unicode text"
 
 
@@ -540,6 +540,36 @@ class TestExitCodes:
         assert got["stderr"].count("\n") == 1
 
     @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"lattices": {"L": "U"',
+             "workspace file is not valid JSON: Expecting ',' delimiter: line 1 column 23 (char 22)"),
+            (b'{"lattices": {"L": "U", "L": "K3"}}', "duplicate name 'L'"),
+            (b"\xef\xbb\xbf{}", "workspace file is not valid JSON: "
+             "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        ],
+        ids=["truncated", "duplicate-name", "utf-8-bom"],
+    )
+    def test_decoder_messages(self, tmp_path, capsys, content, message):
+        path = tmp_path / "ws.json"
+        path.write_bytes(content)
+        got = _run(capsys, ["report", "--workspace", str(path)])
+        assert got == {"exit": 2, "stdout": "", "stderr": f"error: {message}\n"}
+
+    def test_missing_workspace_message(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        got = _run(capsys, ["report", "--workspace", str(path)])
+        message = f"cannot read workspace file: [Errno 2] No such file or directory: {str(path)!r}"
+        assert got == {"exit": 2, "stdout": "", "stderr": f"error: {message}\n"}
+
+    @pytest.mark.parametrize("name", ["DOUADY(٣)", "DOUADY(２)"])
+    def test_douady_takes_ascii_digits_only(self, capsys, name):
+        got = _run(capsys, ["signature", name])
+        assert got == {"exit": 2, "stdout": "", "stderr": f"error: unknown lattice {name!r}\n"}
+        got = _run(capsys, ["signature", "DOUADY(02)"])
+        assert got == {"exit": 0, "stdout": "signature: (3, 0, 20)\n", "stderr": ""}
+
+    @pytest.mark.parametrize(
         "data, message",
         [
             (
@@ -785,7 +815,7 @@ class TestBigIntegers:
         entry = digits if form == "number" else f'"{digits}"'
         path = tmp_path / "ws.json"
         path.write_text('{"lattices": {"big": {"gram": [[%s]]}}}' % entry, encoding="utf-8")
-        where = f"workspace file {path}" if form == "number" else "lattices.big.gram"
+        where = "workspace file" if form == "number" else "lattices.big.gram"
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:

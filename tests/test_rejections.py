@@ -3,6 +3,7 @@ on different lattices, shapes that Lattice and ExceptionalPair refuse, and
 the rejections that no other in-process test reaches."""
 
 import json
+import sys
 
 import pytest
 
@@ -38,10 +39,33 @@ OTHER = diagonal_lattice((1, -1))
 SWAP = ((0, 1), (1, 0))
 
 
-class TestUnknownNames:
-    """A name that is not a str is unknown, in every lookup."""
+@pytest.fixture
+def default_int_cap():
+    """Python's default cap of 4300 digits on int <-> str conversion, on an
+    interpreter that has the cap."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
-    @pytest.mark.parametrize("name, shown", [(5, "5"), (None, "None"), ([], "[]"), ({}, "{}")])
+
+class TestUnknownNames:
+    """A name that is not a str is unknown in every lookup, and named by its
+    type, never by its repr."""
+
+    # each id is the name and its repr; 10**5000 has more digits than the
+    # default cap, so its repr raises ValueError and the message must not need it
+    @pytest.mark.parametrize(
+        "name, type_name",
+        [(5, "int"), (None, "NoneType"), ([], "list"), ({}, "dict"), ([1], "list"),
+         (10**5000, "int")],
+        ids=["5-5", "None-None", "name2-[]", "name3-{}", "name4-[1]", "over-the-cap"],
+    )
     @pytest.mark.parametrize(
         "method, kind",
         [
@@ -54,10 +78,11 @@ class TestUnknownNames:
             ("group", "group"),
         ],
     )
-    def test_not_a_str(self, method, kind, name, shown):
+    @pytest.mark.usefixtures("default_int_cap")
+    def test_not_a_str(self, method, kind, name, type_name):
         with pytest.raises(WorkspaceError) as exc:
             getattr(Workspace(), method)(name)
-        assert str(exc.value) == f"unknown {kind} {shown}"
+        assert str(exc.value) == f"unknown {kind}: a name must be a str, not {type_name}"
 
 
 class TestDifferentLattices:
@@ -168,14 +193,45 @@ class TestWorkspaceRejections:
               "groups": {"G": {"lattice": "U", "generators": ["s"], "cap": 0}}},
              "groups.G.cap: must be positive"),
             ({"vectors": []}, "vectors: expected an object of named entries"),
+            ({"b": 0, "lattices": {}, "a": 0}, "unknown top-level keys ['a', 'b']"),
+            ({"lattices": {"q": {"y": 0, "gram": [[1]], "x": 0}}},
+             "lattices.q: unknown keys ['x', 'y']"),
         ],
         ids=["gram-not-square", "gram-empty-row", "e-length", "e-off-last", "cap-0",
-             "section-not-object"],
+             "section-not-object", "top-level-keys-sorted", "lattice-keys-sorted"],
     )
     def test_message(self, data, message):
         with pytest.raises(WorkspaceError) as exc:
-            parse_workspace(data)
+            parse_workspace(json.dumps(data))
         assert str(exc.value) == message
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int <-> str cap")
+    @pytest.mark.usefixtures("default_int_cap")
+    @pytest.mark.parametrize(
+        "template",
+        [
+            '{"vectors": {"v": {"lattice": %s, "coords": []}}}',
+            '{"lattices": {"L": {"gram": [[[-%s, 1]]]}}}',
+            '{"groups": {"G": {"lattice": "U", "generators": [%s]}}}',
+            '{"lattices": %s}',
+        ],
+        ids=["lattice-name", "in-a-list", "generator", "section"],
+    )
+    def test_integer_over_the_cap_is_refused_by_the_decoder(self, template):
+        # before any message could need the repr of such an integer
+        with pytest.raises(WorkspaceError) as exc:
+            parse_workspace(template % ("1" + "0" * 5000))
+        assert str(exc.value).startswith("workspace file: Exceeds the limit (4300 digits)")
+
+    @pytest.mark.parametrize("digit", ["٢", "２"])
+    def test_integers_are_ascii_decimal(self, digit):
+        with pytest.raises(WorkspaceError) as exc:
+            parse_workspace(json.dumps({"lattices": {"L": {"gram": [[digit]]}}}))
+        assert str(exc.value) == f"lattices.L.gram: expected an integer, got {digit!r}"
+        with pytest.raises(WorkspaceError) as exc:
+            parse_workspace(json.dumps({"lattices": {"L": f"DOUADY({digit})"}}))
+        assert str(exc.value) == f"lattices.L: unknown builtin lattice 'DOUADY({digit})'"
+        assert parse_workspace('{"lattices": {"L": "DOUADY(02)"}}').entry("L").n == 2
 
     def test_shape_errors_exit_2(self, tmp_path, capsys):
         path = tmp_path / "ws.json"

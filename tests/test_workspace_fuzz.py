@@ -1,12 +1,13 @@
 """Seeded fuzzing of the workspace boundary.
 
 Whatever a workspace file holds, parse_workspace raises nothing but
-WorkspaceError or LatticeError, and ``hilblat report`` ends with exit code
-0, 2 or 3, never with a traceback.  The inputs are arbitrary JSON values
-and workspaces shaped like the real format: Gram matrices of rank at most
-3, small closure caps, and names and references that are sometimes not
-strings.  ``derandomize=True`` and no example database make every run draw
-the same examples.
+WorkspaceError or LatticeError, load_workspace makes of a file what
+parse_workspace makes of its text, and ``hilblat report`` ends with exit
+code 0, 2 or 3, never with a traceback.  The inputs are arbitrary text,
+arbitrary JSON values and workspaces shaped like the real format: Gram
+matrices of rank at most 3, small closure caps, and names and references
+that are sometimes not strings.  ``derandomize=True`` and no example
+database make every run draw the same examples.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ import tempfile
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hilblat import LatticeError, WorkspaceError, parse_workspace
+from hilblat import LatticeError, WorkspaceError, load_workspace, parse_workspace
 from hilblat.cli import main
 
 SEEDED = settings(
@@ -149,9 +150,41 @@ any_workspace = (
 @example({"lattices": {"L": {"gram": [["7" * 5001]]}}})
 def test_parse_raises_only_workspace_or_lattice_errors(data):
     try:
-        parse_workspace(data)
+        parse_workspace(json.dumps(data))
     except (WorkspaceError, LatticeError):
         pass
+
+
+def _outcome(parse, source):
+    """The Workspace that ``parse`` builds from ``source``, or the text of
+    the WorkspaceError it raises; any other exception propagates."""
+    try:
+        return parse(source)
+    except WorkspaceError as exc:
+        return str(exc)
+
+
+documents = st.builds(json.dumps, any_workspace)
+texts = (
+    st.text()
+    | documents
+    | st.tuples(documents, st.floats(0, 1)).map(lambda d: d[0][: int(len(d[0]) * d[1])])
+)
+
+
+@SEEDED
+@given(texts)
+def test_file_and_text_give_the_same_outcome(text):
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        from_file = _outcome(load_workspace, path)
+    finally:
+        os.unlink(path)
+    # the file is read in text mode, which turns "\r\n" and "\r" into "\n"
+    read = text.replace("\r\n", "\n").replace("\r", "\n")
+    assert from_file == _outcome(parse_workspace, read)
 
 
 @settings(SEEDED, max_examples=100)
