@@ -653,9 +653,14 @@ def isometry_violation(L: Lattice, matrix) -> str | None:
     """First violated isometry condition, or None when the matrix is one.
 
     The entries q(f(b_i), f(b_j)) of M^T . gram . M are compared with the
-    Gram matrix for i <= j in row order, then |det M| = 1 is checked.  The
-    product is formed sparsely: column j of gram . M from the nonzero
-    entries of the Gram matrix and of column j.  On a nondegenerate form
+    Gram matrix for i <= j in row order, then |det M| = 1 is checked.  A
+    pair of basis vectors both fixed by M (b_j is fixed when column j of M
+    is the unit vector e_j) is skipped: its entry is q(b_i, b_j), the expected value,
+    so the first violation is the same as in the full scan.  For the other
+    pairs the product is formed sparsely, column j of gram . M from the
+    nonzero entries of the Gram matrix and of column j, for the moved j
+    only; a pair with one fixed vector reads its entry off the other
+    vector's column.  On a nondegenerate form
     M^T . gram . M = gram already forces det(M)^2 = 1, so the determinant
     of M is only computed when det(gram) = 0.  Both determinants come from
     ``_eliminate``; the lattice's is computed once and kept with its
@@ -670,26 +675,51 @@ def _violation(L: Lattice, m: Matrix) -> str | None:
     # as_matrix has made every row as long as the first
     if len(m) != n or (m and len(m[0]) != n):
         raise LatticeError("matrix size does not match the lattice rank")
-    columns = _support(transpose(m))
-    # column j of gram . M; row k of the Gram matrix is also its column k
-    gm_columns = [_combine(col, L._gram_support, n) for col in columns]
-    for i, col in enumerate(columns):
-        expected = L.gram[i]
+    # column j of M is e_j unless j is moved; only a moved column gets its
+    # support and its column of gram . M (row k of the Gram matrix is also
+    # its column k)
+    columns = transpose(m)
+    unit = identity_matrix(n)
+    moved = [j for j in range(n) if columns[j] != unit[j]]
+    supports = [None] * n
+    gm_columns = [None] * n
+    for j, col in zip(moved, _support([columns[j] for j in moved])):
+        supports[j] = col
+        gm_columns[j] = _combine(col, L._gram_support, n)
+    gram = L.gram
+    later = moved  # the moved j >= i
+    for i in range(n):
+        expected = gram[i]
+        col = supports[i]
+        if col is None:
+            # f(b_i) = b_i, so q(f(b_i), f(b_j)) = (gram . M)[i][j]
+            for j in later:
+                got = gm_columns[j][i]
+                if got != expected[j]:
+                    return _pair_message(i, j, got, expected[j])
+            continue
+        gm_i = gm_columns[i]
         for j in range(i, n):
             gm = gm_columns[j]
-            got = 0
-            for k, x in col:
-                got += x * gm[k]
+            if gm is None:
+                # f(b_j) = b_j, and gram is symmetric
+                got = gm_i[j]
+            else:
+                got = 0
+                for k, x in col:
+                    got += x * gm[k]
             if got != expected[j]:
-                return (
-                    f"q(f(b{i}), f(b{j})) = {got}, "
-                    f"expected q(b{i}, b{j}) = {expected[j]}"
-                )
+                return _pair_message(i, j, got, expected[j])
+        later = later[1:]  # drops i, the first moved j >= i
     if L._form[1] == 0:
         d = _eliminate(m)[1]
         if d not in (1, -1):
             return f"det = {d}, expected 1 or -1"
     return None
+
+
+def _pair_message(i: int, j: int, got: int, expected: int) -> str:
+    return f"q(f(b{i}), f(b{j})) = {got}, expected q(b{i}, b{j}) = {expected}"
 
 
 def is_isometry(L: Lattice, matrix) -> bool:

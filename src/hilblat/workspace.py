@@ -331,7 +331,9 @@ def load_workspace(path: str | None) -> Workspace:
     if path is None:
         return Workspace()
     try:
-        with open(path, encoding="utf-8") as handle:
+        # newline="" keeps "\r" as it is, so the decoder's (char N) is the
+        # file's own offset; in valid JSON "\r" is only ever whitespace
+        with open(path, encoding="utf-8", newline="") as handle:
             text = handle.read()
     except OSError as exc:
         raise WorkspaceError(f"cannot read workspace file: {exc}") from exc

@@ -547,8 +547,11 @@ class TestExitCodes:
             (b'{"lattices": {"L": "U", "L": "K3"}}', "duplicate name 'L'"),
             (b"\xef\xbb\xbf{}", "workspace file is not valid JSON: "
              "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+            # (char N) is the offset in the file, carriage returns included
+            (b'{\r\n "a": 1,\r\n "b": [1,],\r\n}', "workspace file is not valid JSON: "
+             "Expecting value: line 3 column 10 (char 22)"),
         ],
-        ids=["truncated", "duplicate-name", "utf-8-bom"],
+        ids=["truncated", "duplicate-name", "utf-8-bom", "crlf"],
     )
     def test_decoder_messages(self, tmp_path, capsys, content, message):
         path = tmp_path / "ws.json"

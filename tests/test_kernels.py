@@ -8,27 +8,30 @@ isometry the library builds without re-validation is checked with
 
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from helpers import random_reflection_product
+from helpers import random_norm_pm2_vector, random_reflection_product
 from hilblat import (
     DouadyLattice,
     ExceptionalPair,
     Isometry,
     Lattice,
     LatticeError,
+    core,
     det,
     diagonal_lattice,
     direct_sum,
     douady_lattice,
     extract_surface_isometry,
     identity_isometry,
+    identity_matrix,
     index_invariant,
     is_isometry,
     is_natural_on_lattice,
@@ -44,6 +47,7 @@ from hilblat import (
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 K3 = k3_lattice()
 D2 = douady_lattice(2)
+D3 = douady_lattice(3)
 
 # Seeded and database-free, so every run tries the same examples.
 exact = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -88,23 +92,16 @@ def lattices(draw, max_rank=5):
 
 
 def dense_violation(L, m):
-    """Brute-force oracle: dense M^T . gram . M, then the Bareiss det."""
+    """Brute-force oracle: dense gram . M, then every entry of
+    M^T . (gram . M) for i <= j in row order, then the Bareiss det."""
     n = L.rank
     g = L.gram
-    p = [
-        [
-            sum(m[a][i] * g[a][b] * m[b][j] for a in range(n) for b in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    gm = [[sum(g[a][b] * m[b][j] for b in range(n)) for j in range(n)] for a in range(n)]
     for i in range(n):
         for j in range(i, n):
-            if p[i][j] != g[i][j]:
-                return (
-                    f"q(f(b{i}), f(b{j})) = {p[i][j]}, "
-                    f"expected q(b{i}, b{j}) = {g[i][j]}"
-                )
+            got = sum(m[a][i] * gm[a][j] for a in range(n))
+            if got != g[i][j]:
+                return f"q(f(b{i}), f(b{j})) = {got}, expected q(b{i}, b{j}) = {g[i][j]}"
     d = det(m)
     return None if d in (1, -1) else f"det = {d}, expected 1 or -1"
 
@@ -209,6 +206,161 @@ class TestIsometryViolation:
         n = L.rank + extra
         with pytest.raises(LatticeError):
             isometry_violation(L, tuple(tuple(0 for _ in range(n)) for _ in range(n)))
+
+
+def moved_columns(m):
+    """The j with column j of ``m`` not the unit vector e_j."""
+    unit = identity_matrix(len(m))
+    return [j for j, col in enumerate(zip(*m)) if col != unit[j]]
+
+
+def lifted_reflections(D, rng):
+    """The natural lift of a product of one to three reflections in K3."""
+    phi = identity_isometry(K3)
+    for _ in range(rng.randint(1, 3)):
+        phi = phi * reflection_isometry(K3, random_norm_pm2_vector(K3, rng))
+    return natural_lift(D, phi).matrix
+
+
+def delta_reflection(D, rng):
+    """s_(2w+delta), w = u + r isotropic: u of norm 2 in one U summand and
+    r a basis root of one E8(-1).  It moves e."""
+    w = [0] * K3.rank
+    k = 2 * rng.randrange(3)
+    w[k] = w[k + 1] = rng.choice((1, -1))
+    w[6 + rng.randrange(16)] = rng.choice((1, -1))
+    return reflection_isometry(D.full, tuple(2 * x for x in w) + (1,)).matrix
+
+
+def replaced_columns(L, rng):
+    """The identity with one or two columns replaced by short random ones."""
+    columns = [list(col) for col in identity_matrix(L.rank)]
+    for j in rng.sample(range(L.rank), rng.randint(1, 2)):
+        columns[j] = [0] * L.rank
+        for _ in range(rng.randint(1, 4)):
+            columns[j][rng.randrange(L.rank)] = rng.randint(-2, 2)
+    return tuple(zip(*columns))
+
+
+def every_column_moved(L, rng):
+    """A product of reflections in vectors of norm +-2 that moves every
+    basis vector."""
+    m = identity_matrix(L.rank)
+    while len(moved_columns(m)) < L.rank:
+        v = random_norm_pm2_vector(L, rng, max_entry=1, max_support=6)
+        m = mat_mul(m, reflection_isometry(L, v).matrix)
+    return m
+
+
+def perturbed(m, rng):
+    rows = [list(row) for row in m]
+    rows[rng.randrange(len(m))][rng.randrange(len(m))] += rng.choice((1, -1, 2))
+    return tuple(tuple(row) for row in rows)
+
+
+PAIR_CLASSES = ("fixed, moved", "moved, fixed", "both moved")
+
+
+def first_pair_class(m, message):
+    """Which of the two basis vectors of the violated pair ``m`` moves."""
+    i, j = map(int, re.match(r"q\(f\(b(\d+)\), f\(b(\d+)\)\)", message).groups())
+    moved = moved_columns(m)
+    if i not in moved:
+        return "fixed, moved"  # a pair of fixed vectors cannot be violated
+    return "both moved" if j in moved else "moved, fixed"
+
+
+class TestMovedColumns:
+    """The scan skips the pairs of basis vectors that M fixes; the first
+    violation must still be the dense oracle's, whichever vector of the
+    violated pair moves."""
+
+    @settings(exact, max_examples=60)
+    @given(
+        st.sampled_from((D2, D3)),
+        st.sampled_from((lifted_reflections, delta_reflection)),
+        st.sampled_from(PAIR_CLASSES),
+        st.integers(0, 2**32),
+    )
+    def test_first_violation_in_each_pair_class(self, D, isometry, wanted, seed):
+        rng = random.Random(seed)
+        m = isometry(D, rng)
+        assert isometry_violation(D.full, m) is None
+        assert len(moved_columns(m)) < D.rank
+        # perturb one entry, drawn until the first violation is in the class
+        for _ in range(2000):
+            bad = perturbed(m, rng)
+            expected = dense_violation(D.full, bad)
+            if expected is not None and first_pair_class(bad, expected) == wanted:
+                break
+        else:
+            reject()
+        assert isometry_violation(D.full, bad) == expected
+
+    @settings(exact, max_examples=60)
+    @given(
+        st.sampled_from((K3, D2.full, D3.full)),
+        st.integers(0, 2**32),
+        st.booleans(),
+    )
+    def test_replaced_columns(self, L, seed, perturb):
+        rng = random.Random(seed)
+        m = replaced_columns(L, rng)
+        if perturb:
+            m = perturbed(m, rng)
+        assert isometry_violation(L, m) == dense_violation(L, m)
+
+    @settings(exact, max_examples=10)
+    @given(st.sampled_from((K3, D2.full)), st.integers(0, 2**32))
+    def test_every_column_moved(self, L, seed):
+        rng = random.Random(seed)
+        m = every_column_moved(L, rng)
+        assert isometry_violation(L, m) is None
+        for _ in range(5):
+            bad = perturbed(m, rng)
+            assert isometry_violation(L, bad) == dense_violation(L, bad)
+
+    @exact
+    @given(st.integers(-5, 5))
+    def test_scaled_column_on_a_degenerate_form(self, scale):
+        # K3 + <0>: scaling the radical's basis vector keeps the form
+        L = direct_sum(K3, diagonal_lattice((0,)))
+        m = identity_matrix(L.rank)[:-1] + ((0,) * K3.rank + (scale,),)
+        expected = None if scale in (1, -1) else f"det = {scale}, expected 1 or -1"
+        assert isometry_violation(L, m) == dense_violation(L, m) == expected
+
+
+class TestOneCombinePerMovedColumn:
+    """The scan forms a column of gram . M only for a moved column."""
+
+    @staticmethod
+    def combine_calls(monkeypatch, L, m):
+        calls = []
+        combine = core._combine
+
+        def counted(*args):
+            calls.append(args[0])
+            return combine(*args)
+
+        monkeypatch.setattr(core, "_combine", counted)
+        assert isometry_violation(L, m) is None
+        return len(calls)
+
+    def test_identity(self, monkeypatch):
+        assert self.combine_calls(monkeypatch, D2.full, identity_matrix(D2.rank)) == 0
+
+    def test_lift_of_one_reflection(self, monkeypatch):
+        rng = random.Random(22)
+        for _ in range(10):
+            r = random_norm_pm2_vector(K3, rng)
+            lift = natural_lift(D2, reflection_isometry(K3, r)).matrix
+            moved = sum(1 for x in mat_vec(K3.gram, r) if x)
+            assert len(moved_columns(lift)) == moved
+            assert self.combine_calls(monkeypatch, D2.full, lift) == moved
+
+    def test_dense(self, monkeypatch):
+        m = every_column_moved(D2.full, random.Random(22))
+        assert self.combine_calls(monkeypatch, D2.full, m) == D2.rank
 
 
 class TestTrustedConstructions:

@@ -182,9 +182,7 @@ def test_file_and_text_give_the_same_outcome(text):
         from_file = _outcome(load_workspace, path)
     finally:
         os.unlink(path)
-    # the file is read in text mode, which turns "\r\n" and "\r" into "\n"
-    read = text.replace("\r\n", "\n").replace("\r", "\n")
-    assert from_file == _outcome(parse_workspace, read)
+    assert from_file == _outcome(parse_workspace, text)
 
 
 @settings(SEEDED, max_examples=100)
