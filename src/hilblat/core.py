@@ -423,7 +423,13 @@ def _sift(basis: tuple[Vector, ...], vectors, rational: bool = False) -> bool:
     return not any(any(_reduce([scale * x for x in v], -1, pivots, cols)) for v in vectors)
 
 
+def _check_width(width) -> None:
+    if isinstance(width, bool) or not isinstance(width, int) or width < 0:
+        raise LatticeError(f"width must be a non-negative int, got {width!r}")
+
+
 def _rows(vectors: Iterable[Sequence[int]], width: int) -> list[Vector]:
+    _check_width(width)
     rows = [as_vector(v) for v in vectors]
     for row in rows:
         if len(row) != width:
@@ -456,8 +462,10 @@ def integer_kernel(matrix, width: int | None = None) -> tuple[Vector, ...]:
         if not rows:
             raise LatticeError("kernel of an empty matrix needs an explicit width")
         width = len(rows[0])
-    elif rows and len(rows[0]) != width:
-        raise LatticeError("matrix width disagrees with the requested kernel width")
+    else:
+        _check_width(width)
+        if rows and len(rows[0]) != width:
+            raise LatticeError("matrix width disagrees with the requested kernel width")
     return _kernel(rows, width)
 
 
@@ -501,29 +509,38 @@ class Lattice(_Record):
         return cls(len(gram), gram)
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(1 if j == i else 0 for j in range(self.rank))
+        """The i-th unit vector, row i of ``identity_matrix(rank)``; an
+        index that is not an int in range(rank) raises LatticeError."""
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < self.rank:
+            raise LatticeError(f"basis index must be an int in range({self.rank}), got {i!r}")
+        return identity_matrix(self.rank)[i]
+
+
+def _gram_images(L: Lattice, vectors) -> list[tuple]:
+    """gram . v for each v in ``vectors``, from the cached nonzero entries
+    of the Gram matrix's rows (row k is also column k): the one way the
+    library applies the form to vectors."""
+    return [_combine(terms, L._gram_support, L.rank) for terms in _support(vectors)]
 
 
 def diagonal_lattice(entries: Sequence[int]) -> Lattice:
     entries = as_vector(entries)
-    n = len(entries)
-    gram = tuple(
-        tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)
-    )
-    return Lattice(n, gram)
+    unit = identity_matrix(len(entries))
+    return Lattice(len(entries), tuple(tuple(x * u for u in row) for x, row in zip(entries, unit)))
 
 
 def pairing(L: Lattice, x, y):
-    """Evaluate the bilinear form x^T . gram . y; symmetric and exact."""
+    """Evaluate the bilinear form x^T . gram . y; symmetric and exact.
+
+    Only the nonzero entries of x and y take part, so the result is an int
+    unless a nonzero rational entry is involved; then it is a Fraction.
+    """
     xv = _exact_vector(x)
     yv = _exact_vector(y)
     if len(xv) != L.rank or len(yv) != L.rank:
         raise LatticeError("vector length does not match the lattice rank")
-    total = 0
-    for xi, row in zip(xv, L.gram):
-        if xi:
-            total += xi * sum(g * yj for g, yj in zip(row, yv) if g)
-    return total
+    gy = _gram_images(L, (yv,))[0]
+    return sum(xi * gy[k] for k, xi in compress(enumerate(xv), xv))
 
 
 def norm(L: Lattice, x):
@@ -602,7 +619,7 @@ class Sublattice(_Record):
     def gram(self) -> Matrix:
         """Gram matrix of the ambient form restricted to the stored basis."""
         b = self.basis
-        return mat_mul(mat_mul(b, self.ambient.gram), transpose(b))
+        return mat_mul(_gram_images(self.ambient, b), transpose(b))
 
     def contains(self, v) -> bool:
         """Integral membership in the integer span, by one sift of ``v``
@@ -614,7 +631,7 @@ class Sublattice(_Record):
 
 
 def full_sublattice(L: Lattice) -> Sublattice:
-    return Sublattice(L, identity_matrix(L.rank))
+    return Sublattice._trusted(L, identity_matrix(L.rank))
 
 
 def _check_on(L: Lattice, x, role: str) -> None:
@@ -639,8 +656,7 @@ def rational_span_leq(inner: Sublattice, outer: Sublattice) -> bool:
 def orthogonal_complement(L: Lattice, s: Sublattice) -> Sublattice:
     """Everything in L orthogonal to ``s``; always saturated."""
     _check_on(L, s, "sublattice")
-    # row i of B . G is G . b_i because G is symmetric
-    return Sublattice._trusted(L, _kernel(mat_mul(s.basis, L.gram), L.rank))
+    return Sublattice._trusted(L, _kernel(_gram_images(L, s.basis), L.rank))
 
 
 def saturate(L: Lattice, s: Sublattice) -> Sublattice:
@@ -786,14 +802,14 @@ def reflection_isometry(L: Lattice, v) -> Isometry:
     qv = norm(L, vec)
     if qv == 0:
         raise LatticeError("cannot reflect in a vector of norm zero")
-    cols = []
-    for j, q_jv in enumerate(mat_vec(L.gram, vec)):
-        basis = L.basis_vector(j)
-        twice = 2 * q_jv
-        if twice % qv != 0:
+    # column j is e_j - c_j v with c_j = 2 q(b_j, v) / q(v), so row i is
+    # e_i - v_i c
+    twice = [2 * q_jv for q_jv in _gram_images(L, (vec,))[0]]
+    for t in twice:
+        if t % qv:
             raise LatticeError(
-                f"reflection in {vec} is not integral: q(v) = {qv} does not divide {twice}"
+                f"reflection in {vec} is not integral: q(v) = {qv} does not divide {t}"
             )
-        c = twice // qv
-        cols.append(tuple(basis[i] - c * vec[i] for i in range(L.rank)))
-    return Isometry._trusted(L, transpose(tuple(cols)))
+    c = [t // qv for t in twice]
+    rows = (tuple(u - x * cj for u, cj in zip(e, c)) for e, x in zip(identity_matrix(L.rank), vec))
+    return Isometry._trusted(L, tuple(rows))

@@ -31,6 +31,7 @@ from .core import (
     as_vector,
     diagonal_lattice,
     direct_sum,
+    identity_matrix,
     norm,
     pairing,
     rescale,
@@ -182,11 +183,11 @@ class DouadyLattice(ExceptionalPair):
 
     @property
     def delta(self) -> Vector:
-        return (0,) * K3_RANK + (1,)
+        return identity_matrix(self.rank)[K3_RANK]
 
     def k3_sublattice(self) -> Sublattice:
-        rows = tuple(self.lattice.basis_vector(i) for i in range(K3_RANK))
-        return Sublattice(self.lattice, rows)
+        # the first K3_RANK unit vectors are already a canonical Hermite basis
+        return Sublattice._trusted(self.lattice, identity_matrix(self.rank)[:K3_RANK])
 
 
 def douady_lattice(n: int) -> DouadyLattice:

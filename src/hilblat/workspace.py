@@ -138,18 +138,15 @@ def builtin_lattice(name: str) -> LatticeEntry | None:
 
 
 class Workspace(_Record):
-    """The named entries of a workspace file, one dict per section.  Unlike
-    the other records it is mutable, and so unhashable."""
+    """The named entries of a workspace file, one dict per section.  Its
+    fields are dicts, so it is unhashable; parse_workspace fills them in
+    place."""
 
     lattices: dict[str, LatticeEntry]
     vectors: dict[str, NamedVector]
     sublattices: dict[str, NamedSublattice]
     isometries: dict[str, NamedIsometry]
     groups: dict[str, NamedGroup]
-
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, *args, **sections):
         """Each section that is not given starts as a new empty dict."""
@@ -200,7 +197,10 @@ def _named(entries: dict, kind: str, name: str, builtin=None):
 def _parse_lattice(name: str, value) -> LatticeEntry:
     where = f"lattices.{name}"
     if isinstance(value, str):
-        entry = builtin_lattice(value)
+        try:
+            entry = builtin_lattice(value)
+        except WorkspaceError as exc:
+            raise WorkspaceError(f"{where}: {exc}") from exc
         if entry is None:
             raise WorkspaceError(f"{where}: unknown builtin lattice {value!r}")
         return entry

@@ -281,3 +281,34 @@ def reference_inertia(gram):
         else:
             neg += 1
     return SignatureTriple(pos, zero, neg)
+
+
+def reference_pairing(gram, x, y):
+    """The dense double sum of x_i gram_ij y_j over every i and j; a
+    test-only reference."""
+    n = len(gram)
+    return sum(x[i] * gram[i][j] * y[j] for i in range(n) for j in range(n))
+
+
+def reference_restricted_gram(gram, basis):
+    """The dense product B . gram . B^T; a test-only reference."""
+    return tuple(tuple(reference_pairing(gram, b, c) for c in basis) for b in basis)
+
+
+def reference_reflection(gram, v):
+    """(matrix, None) of the reflection x -> x - (2 q(x, v) / q(v)) v by the
+    textbook formula, column j being e_j - (2 q(b_j, v) / q(v)) v, or
+    (None, message) for the first j where q(v) does not divide 2 q(b_j, v);
+    q(v) must be nonzero.  A test-only reference."""
+    n = len(gram)
+    qv = reference_pairing(gram, v, v)
+    columns = []
+    for j in range(n):
+        twice = 2 * sum(gram[j][k] * v[k] for k in range(n))
+        if twice % qv:
+            return None, (
+                f"reflection in {tuple(v)} is not integral: "
+                f"q(v) = {qv} does not divide {twice}"
+            )
+        columns.append([(1 if i == j else 0) - twice // qv * v[i] for i in range(n)])
+    return tuple(tuple(columns[j][i] for j in range(n)) for i in range(n)), None

@@ -86,6 +86,8 @@ STRUCTURAL_FAULTS = [
      "vectors.v: unknown lattice 'nope'"),
     ("unknown-builtin", {"lattices": {"L": "K3\n"}}, None,
      "lattices.L: unknown builtin lattice 'K3\\n'"),
+    ("lattice-douady-1", {"lattices": {"L": "DOUADY(1)"}}, None,
+     "lattices.L: DOUADY(1): the number of points must be >= 2"),
     # vector, column and matrix shapes
     ("coords-not-list", _with_quartic(vectors={"v": {"lattice": "Q", "coords": "1 0"}}),
      None, "vectors.v.coords: expected a list of integers"),
@@ -445,6 +447,13 @@ class TestExitCodes:
 
     def test_unreadable_workspace_is_input_error(self, capsys):
         assert main(["signature", "U", "--workspace", "/no/such.json"]) == 2
+
+    def test_builtin_lattice_entry_error_names_its_location(self, tmp_path, capsys):
+        ws = _workspace_file(tmp_path, {"lattices": {"L": "DOUADY(1)"}})
+        assert main(["report", "--workspace", ws]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: lattices.L: DOUADY(1): the number of points must be >= 2\n"
 
     def test_invalid_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -703,6 +703,30 @@ class TestActsTrivially:
             acts_trivially_on(G, Sublattice(U, [(1, 0)]))
 
 
+class TestSymplecticActionLaw:
+    """On K3, L^G is saturated and a stable NS has a stable complement T, so
+    G fixes T pointwise iff T lies in L^G iff L_G = (L^G)-perp lies in NS:
+    the report's three conclusions always agree."""
+
+    def test_three_conclusions_agree(self):
+        rng = random.Random(23)
+        seen = {True: 0, False: 0}
+        for _ in range(200):
+            roots = [_e(i) for i in rng.sample(rng.choice(E8_BLOCKS), rng.randint(1, 3))]
+            G = closure(K3, [reflection_isometry(K3, r).matrix for r in roots])
+            # NS inside L^G, or reaching out of it through some of the roots
+            rows = rng.sample(invariant_sublattice(G).basis, rng.randint(1, 4))
+            rows += rng.sample(roots, rng.randint(0, len(roots)))
+            try:
+                rep = symplectic_action_report(K3, G, Sublattice(K3, rows))
+            except LatticeError:
+                continue  # an unstable block, or a signature of no Picard block
+            value = rep.fixes_transcendental_pointwise
+            assert rep.transcendental_in_invariant == rep.coinvariant_in_ns == value
+            seen[value] += 1
+        assert seen[True] and seen[False]
+
+
 class TestStabilityChecks:
     """acts_trivially_on and the stability check of symplectic_action_report
     against the per-vector checks: g(v) in s, and g(v) == v, for every

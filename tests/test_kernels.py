@@ -1,9 +1,10 @@
 """Property tests of the sparse exact kernels against brute-force oracles.
 
 ``mat_mul`` is compared with the textbook triple sum, ``isometry_violation``
-with a dense M^T . gram . M followed by a Bareiss determinant, and every
-isometry the library builds without re-validation is checked with
-``is_isometry``.
+with a dense M^T . gram . M followed by a Bareiss determinant, the form's
+other uses (pairings, reflections, restricted Grams and complements) with
+dense textbook formulas, and every isometry the library builds without
+re-validation is checked with ``is_isometry``.
 """
 
 import os
@@ -17,19 +18,30 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from helpers import random_norm_pm2_vector, random_reflection_product
+from helpers import (
+    random_norm_pm2_vector,
+    random_reflection_product,
+    reference_integer_kernel,
+    reference_pairing,
+    reference_reflection,
+    reference_restricted_gram,
+)
 from hilblat import (
     DouadyLattice,
     ExceptionalPair,
     Isometry,
     Lattice,
     LatticeError,
+    Sublattice,
     core,
     det,
     diagonal_lattice,
     direct_sum,
     douady_lattice,
     extract_surface_isometry,
+    full_sublattice,
+    hermite_basis,
+    hyperbolic_plane,
     identity_isometry,
     identity_matrix,
     index_invariant,
@@ -41,6 +53,8 @@ from hilblat import (
     mat_vec,
     natural_lift,
     norm,
+    orthogonal_complement,
+    pairing,
     reflection_isometry,
 )
 
@@ -363,6 +377,73 @@ class TestOneCombinePerMovedColumn:
         assert self.combine_calls(monkeypatch, D2.full, m) == D2.rank
 
 
+class TestFormOracles:
+    """Pairings, reflections, restricted Grams and complements all apply the
+    Gram matrix through its cached sparse rows; each must equal its dense
+    textbook formula, on degenerate forms too."""
+
+    @exact
+    @given(lattices(), st.data())
+    def test_pairing(self, L, data):
+        x, y = (tuple(data.draw(entries) for _ in range(L.rank)) for _ in range(2))
+        got = pairing(L, x, y)
+        assert got == reference_pairing(L.gram, x, y) == pairing(L, y, x)
+        assert norm(L, x) == reference_pairing(L.gram, x, x)
+        # only a nonzero rational entry can make the value a Fraction
+        if all(type(v) is int for v in x + y if v):
+            assert type(got) is int
+
+    @exact
+    @given(lattices(), st.data())
+    def test_pairing_with_zero_vectors(self, L, data):
+        ints = tuple(data.draw(big) for _ in range(L.rank))
+        halves = (Fraction(1, 2),) * L.rank
+        for zero in ((0,) * L.rank, (Fraction(0),) * L.rank):
+            for other in ((0,) * L.rank, (Fraction(0),) * L.rank, ints):
+                for got in (pairing(L, zero, other), pairing(L, other, zero)):
+                    assert got == 0 and type(got) is int
+            assert pairing(L, zero, halves) == pairing(L, halves, zero) == 0
+
+    def test_a_zero_rational_entry_does_not_make_a_fraction(self):
+        L = Lattice.from_gram(((0, 3, 2), (3, 0, 0), (2, 0, 0)))
+        got = pairing(L, (3, 0, 2), (Fraction(0), -1, 0))
+        assert got == -9 and type(got) is int
+
+    @exact
+    @given(lattices(), st.data())
+    def test_reflection(self, L, data):
+        v = tuple(data.draw(small) for _ in range(L.rank))
+        if reference_pairing(L.gram, v, v) == 0:
+            with pytest.raises(LatticeError, match="norm zero"):
+                reflection_isometry(L, v)
+            return
+        matrix, message = reference_reflection(L.gram, v)
+        if message is not None:
+            with pytest.raises(LatticeError) as exc:
+                reflection_isometry(L, v)
+            assert str(exc.value) == message
+        else:
+            assert reflection_isometry(L, v).matrix == matrix
+
+    @exact
+    @given(lattices(), st.data())
+    def test_restricted_gram_and_complement(self, L, data):
+        n = L.rank
+        count = data.draw(st.integers(0, n + 1))
+        rows = [tuple(data.draw(small) for _ in range(n)) for _ in range(count)]
+        s = Sublattice(L, hermite_basis(rows, n))
+        assert s.gram() == reference_restricted_gram(L.gram, s.basis)
+        gb = [tuple(reference_pairing(L.gram, b, e) for e in identity_matrix(n)) for b in s.basis]
+        expected = reference_integer_kernel(gb, n) if gb else identity_matrix(n)
+        assert orthogonal_complement(L, s).basis == expected
+
+    @pytest.mark.parametrize("index", [-1, 2, 5, 1.0, True, "0", None], ids=repr)
+    def test_basis_vector_refusals(self, index):
+        with pytest.raises(LatticeError) as exc:
+            hyperbolic_plane().basis_vector(index)
+        assert str(exc.value) == f"basis index must be an int in range(2), got {index!r}"
+
+
 class TestTrustedConstructions:
     @exact
     @given(lattices(), st.randoms(use_true_random=False))
@@ -405,6 +486,17 @@ class TestTrustedConstructions:
         assert is_isometry(pair.lattice, lift.matrix)
         back = extract_surface_isometry(pair, lift.matrix)
         assert back.matrix == phi.matrix and is_isometry(pair.surface_block, back.matrix)
+
+    @exact
+    @given(lattices())
+    def test_full_sublattice_and_basis_vectors(self, L):
+        assert full_sublattice(L) == Sublattice(L, identity_matrix(L.rank))
+        assert tuple(map(L.basis_vector, range(L.rank))) == identity_matrix(L.rank)
+
+    def test_douady_unit_vectors(self):
+        for D in (D2, D3):
+            assert D.k3_sublattice() == Sublattice(D.full, identity_matrix(D.rank)[:22])
+            assert D.delta == (0,) * 22 + (1,) == D.full.basis_vector(D.delta_index)
 
     def test_surface_block_is_cached(self):
         pair = ExceptionalPair(diagonal_lattice((4, -8)), (0, 1))

@@ -146,7 +146,8 @@ def test_isometry_group_repr_leaves_out_private_fields():
     assert repr(G) == f"IsometryGroup(ambient={U!r}, generators={G.generators!r})"
 
 
-def test_workspace_is_a_mutable_record():
+def test_workspace_is_an_immutable_record_of_dicts():
+    # its sections are filled in place; the record itself is not assigned to
     sections = ("lattices", "vectors", "sublattices", "isometries", "groups")
     a, b = Workspace(), Workspace()
     assert a == b and not a != b
@@ -159,7 +160,12 @@ def test_workspace_is_a_mutable_record():
         hash(Workspace())
     with pytest.raises(TypeError):
         Workspace(unknown={})
-    a.lattices = {"A": U}
+    for name in sections:
+        with pytest.raises(AttributeError):
+            setattr(a, name, {})
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    a.lattices["A"] = U
     assert a == ws
 
 

@@ -19,15 +19,19 @@ from hilblat import (
     douady_lattice,
     e_class,
     full_sublattice,
+    hermite_basis,
     hyperbolic_plane,
     identity_isometry,
+    integer_kernel,
     iota,
     mat_vec,
     ns_classification,
     orthogonal_complement,
     psi_first_chern,
+    rank_of,
     rational_span_leq,
     saturate,
+    saturation_basis,
     symplectic_action_report,
 )
 from hilblat.cli import main
@@ -174,6 +178,41 @@ class TestUnreachedRejections:
         with pytest.raises(LatticeError) as exc:
             psi_first_chern(douady_lattice(2), (1,) * 21)
         assert str(exc.value) == "surface class must have 22 coordinates"
+
+
+class TestWidth:
+    """A width must be a non-negative int; a float, a bool or a negative
+    number is refused before any row is read."""
+
+    @pytest.mark.parametrize("width", [2.0, True, -1, "2", None], ids=repr)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda w: hermite_basis([(1, 2)], w),
+            lambda w: rank_of([(3,)], w),
+            lambda w: saturation_basis([(2, 4)], w),
+        ],
+        ids=["hermite_basis", "rank_of", "saturation_basis"],
+    )
+    def test_span_functions(self, call, width):
+        with pytest.raises(LatticeError) as exc:
+            call(width)
+        assert str(exc.value) == f"width must be a non-negative int, got {width!r}"
+
+    @pytest.mark.parametrize("width", [2.0, True, -1, "2"], ids=repr)
+    @pytest.mark.parametrize("matrix", [((1, 2),), ()], ids=["one-row", "empty"])
+    def test_integer_kernel(self, matrix, width):
+        with pytest.raises(LatticeError) as exc:
+            integer_kernel(matrix, width)
+        assert str(exc.value) == f"width must be a non-negative int, got {width!r}"
+
+    def test_valid_widths_still_work(self):
+        assert integer_kernel((), 0) == ()
+        assert integer_kernel((), 1) == ((1,),)
+        assert integer_kernel(((1, 2),)) == integer_kernel(((1, 2),), 2) == ((2, -1),)
+        assert rank_of([], 0) == 0
+        assert hermite_basis([(1, 2)], 2) == ((1, 2),)
+        assert saturation_basis([(2, 4)], 2) == ((1, 2),)
 
 
 class TestWorkspaceRejections:
