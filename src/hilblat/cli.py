@@ -2,11 +2,14 @@
 
 A command is declared once, in ``_COMMANDS``: its name, help, positional
 arguments and payload builder.  Each command builds one JSON payload: each
-positional argument is echoed in it under its own name, and the builder
-adds what it computes.  ``--json`` prints the payload; otherwise ``_text``
-renders it, one line form per payload key, so the two outputs carry the
-same facts.  Reports go to standard out, diagnostics to standard error.
-Identical inputs produce byte-identical reports.
+positional argument is echoed in it under its own name, as the string
+given, and the builder adds what it computes.  Integer arguments are
+written as workspace integers are, an optional minus sign and ASCII
+digits; ``solve-index`` reads them itself and echoes the ints.  ``--json``
+prints the payload; otherwise ``_text`` renders it, one line form per
+payload key, so the two outputs carry the same facts.  Reports go to
+standard out, diagnostics to standard error.  Identical inputs produce
+byte-identical reports.
 
 Exit codes: 0 on success, 2 on input or parse errors (argument, file,
 encoding, JSON or workspace structure), 3 on mathematical precondition
@@ -48,7 +51,7 @@ from .groups import (
     ns_classification,
     verify_pair_properties,
 )
-from .workspace import Workspace, WorkspaceError, load_workspace
+from .workspace import Workspace, WorkspaceError, _int, load_workspace
 
 
 def fmt_vec(v) -> str:
@@ -178,11 +181,14 @@ def cmd_classify(ws: Workspace, args) -> dict:
 
 
 def cmd_solve_index(ws: Workspace, args) -> dict:
+    """Its three arguments are read as workspace integers are, and returned
+    as ints in place of the echoed strings."""
+    numbers = {name: _int(getattr(args, name), name) for name in args.positionals}
     try:
-        solutions = index_norm_solutions(args.n, args.d2, args.bound)
+        solutions = index_norm_solutions(*numbers.values())
     except LatticeError as exc:  # a bad command-line argument: usage error
         raise WorkspaceError(str(exc)) from None
-    return {"solutions": [list(pair) for pair in solutions]}
+    return {**numbers, "solutions": [list(pair) for pair in solutions]}
 
 
 def _report_lattice(ws: Workspace, name: str) -> dict:
@@ -351,7 +357,7 @@ def _text(payload: dict) -> list[str]:
 
 # (name, help, positional arguments, payload builder), in --help order.
 # _main echoes each positional argument in the payload under its own name,
-# so a builder returns only what it computes.
+# so a builder returns only what it computes, or an argument it has read.
 _COMMANDS = (
     ("signature", "signature of a lattice",
      ("lattice",), cmd_signature),
@@ -372,8 +378,6 @@ _COMMANDS = (
     ("report", "run every applicable check in the workspace",
      (), cmd_report),
 )
-# The positional arguments parsed as integers; the others are names.
-_INT_ARGUMENTS = ("n", "d2", "bound")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text, positionals, build in _COMMANDS:
         p = sub.add_parser(name, parents=[common], help=help_text)
         for arg in positionals:
-            p.add_argument(arg, type=int if arg in _INT_ARGUMENTS else None)
+            p.add_argument(arg)
         p.set_defaults(func=build, positionals=positionals)
     return parser
 

@@ -130,8 +130,22 @@ class _Record:
         return f"{type(self).__qualname__}({', '.join(shown)})"
 
 
+def _is_int(x) -> bool:
+    """Whether ``x`` is an int and not a bool: the one integer test behind
+    every integer argument and entry the library checks."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _of_length(v, n: int, what: str):
+    """``v``, unless its length is not ``n``: the one check of a vector's
+    length against a rank; ``what`` names ``v`` in the error."""
+    if len(v) != n:
+        raise LatticeError(f"{what} of length {len(v)} inside Z^{n}")
+    return v
+
+
 def _entry(x) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
+    if not _is_int(x):
         raise LatticeError(f"integer entry expected, got {x!r}")
     return x
 
@@ -171,13 +185,21 @@ def _exact_vector(data) -> tuple:
     out = tuple(data)
     if not _EXACT.issuperset(map(type, out)):
         for x in out:
-            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            if not (_is_int(x) or isinstance(x, Fraction)):
                 raise LatticeError(f"exact integer or rational entry expected, got {x!r}")
     return out
 
 
-@cache
 def identity_matrix(n: int) -> Matrix:
+    """The n x n identity matrix; ``n`` must be a non-negative int."""
+    _check_width(n)
+    return _identity_matrix(n)
+
+
+@cache
+def _identity_matrix(n: int) -> Matrix:
+    """identity_matrix without the check, built once per n: for a width the
+    library has checked or made itself, such as a lattice's rank."""
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
@@ -395,7 +417,7 @@ def _kernel_of_hnf(h: tuple[Vector, ...], width: int) -> tuple[Vector, ...]:
     """
     r = len(h)
     columns = zip(*h) if h else [()] * width
-    aug = [column + unit for column, unit in zip(columns, identity_matrix(width))]
+    aug = [column + unit for column, unit in zip(columns, _identity_matrix(width))]
     return tuple(row[r:] for row in _hnf(aug)[r:])
 
 
@@ -424,7 +446,7 @@ def _sift(basis: tuple[Vector, ...], vectors, rational: bool = False) -> bool:
 
 
 def _check_width(width) -> None:
-    if isinstance(width, bool) or not isinstance(width, int) or width < 0:
+    if not _is_int(width) or width < 0:
         raise LatticeError(f"width must be a non-negative int, got {width!r}")
 
 
@@ -432,8 +454,7 @@ def _rows(vectors: Iterable[Sequence[int]], width: int) -> list[Vector]:
     _check_width(width)
     rows = [as_vector(v) for v in vectors]
     for row in rows:
-        if len(row) != width:
-            raise LatticeError(f"vector of length {len(row)} inside Z^{width}")
+        _of_length(row, width, "vector")
     return rows
 
 
@@ -487,7 +508,7 @@ class Lattice(_Record):
         gram = as_matrix(self.gram)
         if len(gram) != self.rank or any(len(row) != self.rank for row in gram):
             raise LatticeError(f"Gram matrix must be {self.rank}x{self.rank}")
-        if isinstance(self.rank, bool) or not isinstance(self.rank, int):
+        if not _is_int(self.rank):
             raise LatticeError(f"rank must be an int, got {self.rank!r}")
         if gram != transpose(gram):
             raise LatticeError("Gram matrix must be symmetric")
@@ -511,9 +532,9 @@ class Lattice(_Record):
     def basis_vector(self, i: int) -> Vector:
         """The i-th unit vector, row i of ``identity_matrix(rank)``; an
         index that is not an int in range(rank) raises LatticeError."""
-        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < self.rank:
+        if not _is_int(i) or not 0 <= i < self.rank:
             raise LatticeError(f"basis index must be an int in range({self.rank}), got {i!r}")
-        return identity_matrix(self.rank)[i]
+        return _identity_matrix(self.rank)[i]
 
 
 def _gram_images(L: Lattice, vectors) -> list[tuple]:
@@ -525,22 +546,21 @@ def _gram_images(L: Lattice, vectors) -> list[tuple]:
 
 def diagonal_lattice(entries: Sequence[int]) -> Lattice:
     entries = as_vector(entries)
-    unit = identity_matrix(len(entries))
+    unit = _identity_matrix(len(entries))
     return Lattice(len(entries), tuple(tuple(x * u for u in row) for x, row in zip(entries, unit)))
 
 
 def pairing(L: Lattice, x, y):
     """Evaluate the bilinear form x^T . gram . y; symmetric and exact.
 
-    Only the nonzero entries of x and y take part, so the result is an int
-    unless a nonzero rational entry is involved; then it is a Fraction.
+    The result is a Fraction exactly when some nonzero entry of x or of y
+    is one, and an int otherwise, whatever the order of x and y.  A vector
+    whose length is not the rank raises LatticeError.
     """
-    xv = _exact_vector(x)
-    yv = _exact_vector(y)
-    if len(xv) != L.rank or len(yv) != L.rank:
-        raise LatticeError("vector length does not match the lattice rank")
+    xv, yv = (_of_length(_exact_vector(v), L.rank, "vector") for v in (x, y))
     gy = _gram_images(L, (yv,))[0]
-    return sum(xi * gy[k] for k, xi in compress(enumerate(xv), xv))
+    q = sum(xi * gy[k] for k, xi in compress(enumerate(xv), xv))
+    return Fraction(q) if Fraction in map(type, compress(xv + yv, xv + yv)) else q
 
 
 def norm(L: Lattice, x):
@@ -569,7 +589,7 @@ def direct_sum(l1: Lattice, l2: Lattice) -> Lattice:
 
 def rescale(L: Lattice, k: int) -> Lattice:
     """Multiply the Gram matrix entrywise by a nonzero integer."""
-    if isinstance(k, bool) or not isinstance(k, int) or k == 0:
+    if not _is_int(k) or k == 0:
         raise LatticeError("rescaling factor must be a nonzero integer")
     gram = tuple(tuple(k * x for x in row) for row in L.gram)
     return Lattice(L.rank, gram)
@@ -631,7 +651,7 @@ class Sublattice(_Record):
 
 
 def full_sublattice(L: Lattice) -> Sublattice:
-    return Sublattice._trusted(L, identity_matrix(L.rank))
+    return Sublattice._trusted(L, _identity_matrix(L.rank))
 
 
 def _check_on(L: Lattice, x, role: str) -> None:
@@ -695,7 +715,7 @@ def _violation(L: Lattice, m: Matrix) -> str | None:
     # support and its column of gram . M (row k of the Gram matrix is also
     # its column k)
     columns = transpose(m)
-    unit = identity_matrix(n)
+    unit = _identity_matrix(n)
     moved = [j for j in range(n) if columns[j] != unit[j]]
     supports = [None] * n
     gm_columns = [None] * n
@@ -789,7 +809,7 @@ def _isometry_matrix(L: Lattice, f, role: str = "isometry") -> Matrix:
 
 
 def identity_isometry(L: Lattice) -> Isometry:
-    return Isometry._trusted(L, identity_matrix(L.rank))
+    return Isometry._trusted(L, _identity_matrix(L.rank))
 
 
 def reflection_isometry(L: Lattice, v) -> Isometry:
@@ -798,18 +818,21 @@ def reflection_isometry(L: Lattice, v) -> Isometry:
     Requires q(v) != 0 and q(v) | 2 q(x,v) for every basis vector x, which
     holds automatically when q(v) is 1, -1, 2 or -2.
     """
-    vec = as_vector(v)
-    qv = norm(L, vec)
+    vec = _of_length(as_vector(v), L.rank, "vector")
+    # gram . v, applied once: q(v) = v . (gram . v), and 2 q(b_j, v) is
+    # twice its entry j
+    gv = _gram_images(L, (vec,))[0]
+    qv = sum(x * y for x, y in zip(vec, gv))
     if qv == 0:
         raise LatticeError("cannot reflect in a vector of norm zero")
     # column j is e_j - c_j v with c_j = 2 q(b_j, v) / q(v), so row i is
     # e_i - v_i c
-    twice = [2 * q_jv for q_jv in _gram_images(L, (vec,))[0]]
+    twice = [2 * q_jv for q_jv in gv]
     for t in twice:
         if t % qv:
             raise LatticeError(
                 f"reflection in {vec} is not integral: q(v) = {qv} does not divide {t}"
             )
     c = [t // qv for t in twice]
-    rows = (tuple(u - x * cj for u, cj in zip(e, c)) for e, x in zip(identity_matrix(L.rank), vec))
+    rows = (tuple(u - x * t for u, t in zip(e, c)) for e, x in zip(_identity_matrix(L.rank), vec))
     return Isometry._trusted(L, tuple(rows))

@@ -26,12 +26,14 @@ from .core import (
     Vector,
     _block_diagonal,
     _exact_vector,
+    _identity_matrix,
+    _is_int,
     _isometry_matrix,
+    _of_length,
     _Record,
     as_vector,
     diagonal_lattice,
     direct_sum,
-    identity_matrix,
     norm,
     pairing,
     rescale,
@@ -106,7 +108,7 @@ def k3_lattice() -> Lattice:
 
 
 def _points(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+    if not _is_int(n) or n < 2:
         raise LatticeError("the number of points n must be an integer >= 2")
     return n
 
@@ -125,10 +127,8 @@ class ExceptionalPair(_Record):
     e: Vector
 
     def __post_init__(self):
-        vec = as_vector(self.e)
         n = self.lattice.rank
-        if len(vec) != n:
-            raise LatticeError("exceptional class length does not match the rank")
+        vec = _of_length(as_vector(self.e), n, "exceptional class")
         if n == 0 or any(vec[:-1]) or vec[-1] == 0:
             raise LatticeError(
                 "exceptional class must be a nonzero multiple of the last basis vector"
@@ -183,11 +183,11 @@ class DouadyLattice(ExceptionalPair):
 
     @property
     def delta(self) -> Vector:
-        return identity_matrix(self.rank)[K3_RANK]
+        return _identity_matrix(self.rank)[K3_RANK]
 
     def k3_sublattice(self) -> Sublattice:
         # the first K3_RANK unit vectors are already a canonical Hermite basis
-        return Sublattice._trusted(self.lattice, identity_matrix(self.rank)[:K3_RANK])
+        return Sublattice._trusted(self.lattice, _identity_matrix(self.rank)[:K3_RANK])
 
 
 def douady_lattice(n: int) -> DouadyLattice:
@@ -212,14 +212,11 @@ def _target(D) -> tuple[Lattice, Vector]:
 
 def iota(D: ExceptionalPair, v) -> Vector:
     """Pairing-preserving embedding of a surface class: pad with a zero
-    exceptional coordinate."""
+    exceptional coordinate.  The class must have one coordinate fewer than
+    the ambient rank, else LatticeError: "surface class of length 5
+    inside Z^22"."""
     amb, _ = _target(D)
-    vec = as_vector(v)
-    if len(vec) != amb.rank - 1:
-        raise LatticeError(
-            f"surface class must have {amb.rank - 1} coordinates, got {len(vec)}"
-        )
-    return vec + (0,)
+    return _of_length(as_vector(v), amb.rank - 1, "surface class") + (0,)
 
 
 def e_class(D: ExceptionalPair) -> Vector:
@@ -313,14 +310,15 @@ def extract_surface_isometry(D: ExceptionalPair, f) -> Isometry:
 def psi_first_chern(D: DouadyLattice, c, k: int = 1) -> Vector:
     """Chern class k*n*iota(c) - e of the determinant bundle attached to a
     surface line bundle with first Chern class c, twisted down by the
-    exceptional divisor."""
+    exceptional divisor.
+
+    ``c`` must have K3_RANK coordinates and ``k`` must be a positive int
+    (not a bool); otherwise LatticeError."""
     if not isinstance(D, DouadyLattice):
         raise LatticeError("this Chern-class formula needs the full Douady lattice")
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise LatticeError("the exponent k must be a positive integer")
-    cv = as_vector(c)
-    if len(cv) != K3_RANK:
-        raise LatticeError(f"surface class must have {K3_RANK} coordinates")
+    cv = _of_length(as_vector(c), K3_RANK, "surface class")
     return tuple(k * D.n * x for x in cv) + (-2,)
 
 
@@ -338,9 +336,9 @@ def index_norm_solutions(
     d2 > 0 no solution has lam = 0.
     """
     _points(n)
-    if isinstance(d2, bool) or not isinstance(d2, int) or d2 == 0:
+    if not _is_int(d2) or d2 == 0:
         raise LatticeError("d2 must be a nonzero integer")
-    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
+    if not _is_int(bound) or bound < 1:
         raise LatticeError("bound must be a positive integer")
     out = []
     for lam in range(-bound, bound + 1):
@@ -403,9 +401,7 @@ def kahler_candidate_check(D: ExceptionalPair, omega) -> KahlerCandidateReport:
     q(omega) = q(omega_0) + lam^2 q(e).
     """
     amb, e = _target(D)
-    vec = _exact_vector(omega)
-    if len(vec) != amb.rank:
-        raise LatticeError("class length does not match the lattice rank")
+    vec = _of_length(_exact_vector(omega), amb.rank, "class")
     lam = Fraction(vec[-1], e[-1])
     omega0 = vec[:-1]
     q_total = Fraction(pairing(amb, vec, vec))

@@ -19,6 +19,8 @@ from .core import (
     _check_on,
     _combine,
     _hnf,
+    _identity_matrix,
+    _is_int,
     _isometry_matrix,
     _kernel,
     _Record,
@@ -26,7 +28,6 @@ from .core import (
     _support,
     as_matrix,
     discriminant,
-    identity_matrix,
     orthogonal_complement,
     rational_span_leq,
     sub_signature,
@@ -117,7 +118,7 @@ class IsometryGroup(_Record):
         the whole group.
         """
         n = self.ambient.rank
-        identity = identity_matrix(n)
+        identity = _identity_matrix(n)
         rows = [
             tuple(map(sub, row, unit))
             for g in self.generators
@@ -183,7 +184,7 @@ def closure(target, generators, cap: int = DEFAULT_CLOSURE_CAP) -> IsometryGroup
     since |G| >= |G e_j|.  ``cap`` must be a positive ``int`` (not a
     ``bool``).
     """
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+    if not _is_int(cap) or cap < 1:
         raise LatticeError(f"the enumeration cap must be a positive integer, got {cap!r}")
     L = _plain_lattice(target)
     n = L.rank
@@ -192,7 +193,7 @@ def closure(target, generators, cap: int = DEFAULT_CLOSURE_CAP) -> IsometryGroup
     # Sparse columns: the dense mat_vec made the closures of a
     # fixed-lattice round 3x slower.
     columns = tuple(_support(transpose(g)) for g in gens)
-    points = list(identity_matrix(n))
+    points = list(_identity_matrix(n))
     index = {v: k for k, v in enumerate(points)}
     moved = tuple(j for j in range(n) if any(cols[j] != [(j, 1)] for cols in columns))
     # a fixed basis vector keeps its placeholder images, which no search reads

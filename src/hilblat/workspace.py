@@ -3,7 +3,8 @@ groups, described in JSON.
 
 Top-level keys (all optional): "lattices", "vectors", "sublattices",
 "isometries", "groups".  Integer entries may be JSON numbers or strings of
-ASCII decimal digits (strings protect arbitrary precision).
+ASCII decimal digits after an optional minus sign (strings protect
+arbitrary precision).
 parse_workspace takes the text of the document, load_workspace the path
 of a UTF-8 file holding it.
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 import json
 import re
 
-from .core import _INT, Lattice, Matrix, Vector, _Record
+from .core import _INT, Lattice, LatticeError, Matrix, Vector, _is_int, _Record
 from .douady import (
     ExceptionalPair,
     douady_lattice,
@@ -58,7 +59,10 @@ __all__ = [
     "parse_workspace",
 ]
 
-_DOUADY_RE = re.compile(r"DOUADY\((-?[0-9]+)\)")
+# the text of an integer, in a workspace and on the command line: an
+# optional minus sign and ASCII decimal digits
+_INT_TEXT = "-?[0-9]+"
+_DOUADY_RE = re.compile(rf"DOUADY\(({_INT_TEXT})\)")
 # the five sections, in the order they are checked and parsed
 _SECTIONS = ("lattices", "vectors", "sublattices", "isometries", "groups")
 # a str encodes as UTF-8 unless it holds a surrogate code point
@@ -72,9 +76,11 @@ class WorkspaceError(ValueError):
 
 
 def _int(value, where: str) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
+    """``value`` as an int: an int (not a bool), or a str of the form
+    ``_INT_TEXT``; ``where`` names it in the error."""
+    if _is_int(value):
         return value
-    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+    if isinstance(value, str) and re.fullmatch(_INT_TEXT, value):
         try:
             return int(value)
         except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
@@ -130,10 +136,10 @@ def builtin_lattice(name: str) -> LatticeEntry | None:
         return _BUILTINS[name]()
     m = _DOUADY_RE.fullmatch(name)
     if m:
-        n = _int(m.group(1), name)
-        if n < 2:
-            raise WorkspaceError(f"{name}: the number of points must be >= 2")
-        return douady_lattice(n)
+        try:
+            return douady_lattice(_int(m.group(1), name))
+        except LatticeError as exc:
+            raise WorkspaceError(f"{name}: {exc}") from exc
     return None
 
 

@@ -17,6 +17,7 @@ from hilblat import (
     WorkspaceError,
     closure,
     det,
+    douady_lattice,
     e8_minus,
     hyperbolic_plane,
     identity_isometry,
@@ -77,7 +78,7 @@ STRUCTURAL_FAULTS = [
      "vectors.v: unknown lattice 'nope'"),
     ("sublattice-douady-1",
      _with_quartic(sublattices={"s": {"lattice": "DOUADY(1)", "columns": []}}), None,
-     "sublattices.s: DOUADY(1): the number of points must be >= 2"),
+     "sublattices.s: DOUADY(1): the number of points n must be an integer >= 2"),
     ("isometry-unknown-lattice",
      _with_quartic(isometries={"f": {"lattice": "nope", "matrix": "x"}}), None,
      "isometries.f: unknown lattice 'nope'"),
@@ -87,7 +88,7 @@ STRUCTURAL_FAULTS = [
     ("unknown-builtin", {"lattices": {"L": "K3\n"}}, None,
      "lattices.L: unknown builtin lattice 'K3\\n'"),
     ("lattice-douady-1", {"lattices": {"L": "DOUADY(1)"}}, None,
-     "lattices.L: DOUADY(1): the number of points must be >= 2"),
+     "lattices.L: DOUADY(1): the number of points n must be an integer >= 2"),
     # vector, column and matrix shapes
     ("coords-not-list", _with_quartic(vectors={"v": {"lattice": "Q", "coords": "1 0"}}),
      None, "vectors.v.coords: expected a list of integers"),
@@ -252,8 +253,7 @@ class TestWorkspaceParsing:
         assert str(caught.value) == f"{section}: name {name!r} is not Unicode text"
 
 
-# (name, help, positional arguments), in --help order; an int argument
-# is marked ":int".
+# (name, help, positional arguments), in --help order.
 COMMANDS = [
     ("signature", "signature of a lattice", ["lattice"]),
     ("complement", "orthogonal complement of a sublattice", ["lattice", "sublattice"]),
@@ -262,7 +262,7 @@ COMMANDS = [
     ("natural-check", "lattice-level naturality criterion", ["lattice", "isometry"]),
     ("invariant", "fixed and coinvariant sublattices", ["group"]),
     ("classify", "hyperbolic/parabolic/elliptic type", ["lattice", "sublattice"]),
-    ("solve-index", "solve the index norm equation", ["n:int", "d2:int", "bound:int"]),
+    ("solve-index", "solve the index norm equation", ["n", "d2", "bound"]),
     ("report", "run every applicable check in the workspace", []),
 ]
 
@@ -284,12 +284,9 @@ class TestParser:
         helps = {choice.dest: choice.help for choice in action._choices_actions}
         got = []
         for name, sub in action.choices.items():
-            positionals = [
-                a.dest + (":int" if a.type is int else "")
-                for a in sub._actions
-                if not a.option_strings
-            ]
-            assert all(a.type in (None, int) for a in sub._actions), name
+            positionals = [a.dest for a in sub._actions if not a.option_strings]
+            # argparse passes every argument on as the string given
+            assert all(a.type is None for a in sub._actions), name
             got.append((name, helps[name], positionals))
         assert got == COMMANDS
 
@@ -453,7 +450,23 @@ class TestExitCodes:
         assert main(["report", "--workspace", ws]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: lattices.L: DOUADY(1): the number of points must be >= 2\n"
+        assert captured.err == (
+            "error: lattices.L: DOUADY(1): the number of points n must be an integer >= 2\n"
+        )
+
+    def test_douady_1_is_refused_with_the_text_of_douady_lattice(self, tmp_path, capsys):
+        with pytest.raises(LatticeError) as exc:
+            douady_lattice(1)
+        refusal = f"DOUADY(1): {exc.value}"
+        got = _run(capsys, ["signature", "DOUADY(1)"])
+        assert got == {"exit": 2, "stdout": "", "stderr": f"error: {refusal}\n"}
+        sublattice = {"lattice": "DOUADY(1)", "columns": []}
+        for data, where in (
+            ({"lattices": {"L": "DOUADY(1)"}}, "lattices.L"),
+            ({"sublattices": {"s": sublattice}}, "sublattices.s"),
+        ):
+            got = _run(capsys, ["report", "--workspace", _workspace_file(tmp_path, data)])
+            assert got == {"exit": 2, "stdout": "", "stderr": f"error: {where}: {refusal}\n"}
 
     def test_invalid_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -525,10 +538,24 @@ class TestExitCodes:
             got = _run(capsys, ["solve-index"] + argv)
             assert got == {"exit": 2, "stdout": "", "stderr": f"error: {message}\n"}
 
-    def test_argparse_rejects_non_integers(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve-index", "two", "4", "30"])
-        assert exc.value.code == 2
+    # int() and argparse's type=int accept all but "two"; a workspace integer
+    # is an optional minus sign and ASCII digits
+    @pytest.mark.parametrize("text", ["٢", "２", "1_0", "+2", " 2", "two"], ids=ascii)
+    @pytest.mark.parametrize("name", ["n", "d2", "bound"])
+    def test_solve_index_reads_workspace_integers(self, capsys, text, name):
+        args = {"n": "2", "d2": "4", "bound": "30", name: text}
+        got = _run(capsys, ["solve-index", *args.values()])
+        message = f"error: {name}: expected an integer, got {text!r}\n"
+        assert got == {"exit": 2, "stdout": "", "stderr": message}
+
+    def test_solve_index_echoes_the_integers_it_read(self, capsys):
+        for flag in ([], ["--json"]):
+            assert _run(capsys, ["solve-index", "02", "-04", "0030"] + flag) == (
+                _run(capsys, ["solve-index", "2", "-4", "30"] + flag)
+            )
+        payload = json.loads(_run(capsys, ["solve-index", "3", "-4", "01", "--json"])["stdout"])
+        assert payload == {"command": "solve-index", "n": 3, "d2": -4, "bound": 1,
+                           "solutions": [[-1, 0], [1, 0]]}
 
     def test_missing_exceptional_class_is_input_error(self, capsys):
         assert main(["index", "U", "whatever"]) == 2

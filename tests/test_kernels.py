@@ -404,6 +404,27 @@ class TestFormOracles:
                     assert got == 0 and type(got) is int
             assert pairing(L, zero, halves) == pairing(L, halves, zero) == 0
 
+    @exact
+    @given(lattices(), st.data())
+    def test_pairing_value_and_type_do_not_depend_on_the_order(self, L, data):
+        x, y = (tuple(data.draw(entries) for _ in range(L.rank)) for _ in range(2))
+        got = pairing(L, x, y)
+        back = pairing(L, y, x)
+        assert got == back and type(got) is type(back)
+        # a Fraction exactly when some nonzero entry of x or y is one
+        rational = any(type(v) is Fraction for v in x + y if v)
+        assert type(got) is (Fraction if rational else int)
+
+    def test_a_rational_entry_against_a_zero_image_makes_a_fraction(self):
+        U = hyperbolic_plane()
+        half = (Fraction(1, 2), Fraction(1, 2))
+        for got in (pairing(U, half, (0, 0)), pairing(U, (0, 0), half)):
+            assert got == 0 and type(got) is Fraction
+        L = diagonal_lattice((1, 1))
+        for got in (pairing(L, (0, 1), (Fraction(1, 2), 0)),
+                    pairing(L, (Fraction(1, 2), 0), (0, 1))):
+            assert got == 0 and type(got) is Fraction
+
     def test_a_zero_rational_entry_does_not_make_a_fraction(self):
         L = Lattice.from_gram(((0, 3, 2), (3, 0, 0), (2, 0, 0)))
         got = pairing(L, (3, 0, 2), (Fraction(0), -1, 0))
@@ -436,6 +457,22 @@ class TestFormOracles:
         gb = [tuple(reference_pairing(L.gram, b, e) for e in identity_matrix(n)) for b in s.basis]
         expected = reference_integer_kernel(gb, n) if gb else identity_matrix(n)
         assert orthogonal_complement(L, s).basis == expected
+
+    def test_one_gram_image_per_reflection(self, monkeypatch):
+        # q(v) and every 2 q(b_j, v) come from one gram . v
+        rng = random.Random(24)
+        roots = [random_norm_pm2_vector(K3, rng) for _ in range(5)]
+        calls = []
+        combine = core._combine
+
+        def counted(*args):
+            calls.append(args[0])
+            return combine(*args)
+
+        monkeypatch.setattr(core, "_combine", counted)
+        for count, root in enumerate(roots, 1):
+            reflection_isometry(K3, root)
+            assert len(calls) == count
 
     @pytest.mark.parametrize("index", [-1, 2, 5, 1.0, True, "0", None], ids=repr)
     def test_basis_vector_refusals(self, index):

@@ -4,6 +4,7 @@ the rejections that no other in-process test reaches."""
 
 import json
 import sys
+from enum import IntEnum
 
 import pytest
 
@@ -12,6 +13,7 @@ from hilblat import (
     ExceptionalPair,
     Lattice,
     LatticeError,
+    Sublattice,
     acts_trivially_on,
     closure,
     delta_class,
@@ -22,14 +24,21 @@ from hilblat import (
     hermite_basis,
     hyperbolic_plane,
     identity_isometry,
+    identity_matrix,
+    index_norm_solutions,
     integer_kernel,
     iota,
+    kahler_candidate_check,
     mat_vec,
+    norm,
     ns_classification,
     orthogonal_complement,
+    pairing,
     psi_first_chern,
     rank_of,
     rational_span_leq,
+    reflection_isometry,
+    rescale,
     saturate,
     saturation_basis,
     symplectic_action_report,
@@ -145,7 +154,7 @@ class TestUnreachedRejections:
     @pytest.mark.parametrize(
         "gram, e, message",
         [
-            (((1, 0), (0, -2)), (1,), "exceptional class length does not match the rank"),
+            (((1, 0), (0, -2)), (1,), "exceptional class of length 1 inside Z^2"),
             (((1, 0), (0, -2)), (1, 1),
              "exceptional class must be a nonzero multiple of the last basis vector"),
             ((), (), "exceptional class must be a nonzero multiple of the last basis vector"),
@@ -177,7 +186,7 @@ class TestUnreachedRejections:
         assert str(exc.value) == "this Chern-class formula needs the full Douady lattice"
         with pytest.raises(LatticeError) as exc:
             psi_first_chern(douady_lattice(2), (1,) * 21)
-        assert str(exc.value) == "surface class must have 22 coordinates"
+        assert str(exc.value) == "surface class of length 21 inside Z^22"
 
 
 class TestWidth:
@@ -191,8 +200,10 @@ class TestWidth:
             lambda w: hermite_basis([(1, 2)], w),
             lambda w: rank_of([(3,)], w),
             lambda w: saturation_basis([(2, 4)], w),
+            # checked before the cache, so that True is not taken for 1
+            identity_matrix,
         ],
-        ids=["hermite_basis", "rank_of", "saturation_basis"],
+        ids=["hermite_basis", "rank_of", "saturation_basis", "identity_matrix"],
     )
     def test_span_functions(self, call, width):
         with pytest.raises(LatticeError) as exc:
@@ -207,12 +218,82 @@ class TestWidth:
         assert str(exc.value) == f"width must be a non-negative int, got {width!r}"
 
     def test_valid_widths_still_work(self):
+        assert identity_matrix(0) == ()
+        assert identity_matrix(2) == ((1, 0), (0, 1))
         assert integer_kernel((), 0) == ()
         assert integer_kernel((), 1) == ((1,),)
         assert integer_kernel(((1, 2),)) == integer_kernel(((1, 2),), 2) == ((2, -1),)
         assert rank_of([], 0) == 0
         assert hermite_basis([(1, 2)], 2) == ((1, 2),)
         assert saturation_basis([(2, 4)], 2) == ((1, 2),)
+
+
+class TestLengths:
+    """Every check of a vector's length against a rank has one wording:
+    "<what> of length <len> inside Z^<rank>"."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: hermite_basis([(1, 2, 3)], 2), "vector of length 3 inside Z^2"),
+            (lambda: Sublattice(U, [(1,)]), "vector of length 1 inside Z^2"),
+            (lambda: full_sublattice(U).contains((1, 0, 0)), "vector of length 3 inside Z^2"),
+            (lambda: pairing(U, (1, 0, 0), (1, 0)), "vector of length 3 inside Z^2"),
+            (lambda: pairing(U, (1, 0), (1,)), "vector of length 1 inside Z^2"),
+            (lambda: norm(U, (1, 0, 0)), "vector of length 3 inside Z^2"),
+            (lambda: reflection_isometry(U, (1, 1, 0)), "vector of length 3 inside Z^2"),
+            (lambda: ExceptionalPair(diagonal_lattice((1, -2)), (0, 0, 1)),
+             "exceptional class of length 3 inside Z^2"),
+            (lambda: iota(douady_lattice(2), (1,) * 5), "surface class of length 5 inside Z^22"),
+            (lambda: psi_first_chern(douady_lattice(2), (1,) * 23),
+             "surface class of length 23 inside Z^22"),
+            (lambda: kahler_candidate_check(ExceptionalPair(diagonal_lattice((1, -2)), (0, 1)),
+                                            (1, 0, 0)),
+             "class of length 3 inside Z^2"),
+        ],
+        ids=["rows", "sublattice", "contains", "pairing-x", "pairing-y", "norm", "reflection",
+             "exceptional-pair", "iota", "psi_first_chern", "kahler_candidate_check"],
+    )
+    def test_message(self, call, message):
+        with pytest.raises(LatticeError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+class Small(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+class TestIntegerArguments:
+    """Every public integer argument is an int and not a bool: True, 2.0 and
+    "2" are refused with LatticeError, and an int subclass in range passes."""
+
+    CALLS = {
+        "width": lambda k: hermite_basis([(1, 2)], k),
+        "identity-width": identity_matrix,
+        "kernel-width": lambda k: integer_kernel(((1, 2),), k),
+        "rank": lambda k: Lattice(k, ((1, 0), (0, 1))),
+        "basis-index": lambda k: U.basis_vector(k),
+        "rescale": lambda k: rescale(U, k),
+        "douady-n": douady_lattice,
+        "k": lambda k: psi_first_chern(douady_lattice(2), (0,) * 22, k),
+        "solve-n": lambda k: index_norm_solutions(k, 4, 3),
+        "d2": lambda k: index_norm_solutions(2, k, 3),
+        "bound": lambda k: index_norm_solutions(2, 4, k),
+        "cap": lambda k: closure(U, [((0, 1), (1, 0))], cap=k),
+    }
+
+    @pytest.mark.parametrize("value", [True, 2.0, "2"], ids=repr)
+    @pytest.mark.parametrize("name", CALLS)
+    def test_refused(self, name, value):
+        with pytest.raises(LatticeError):
+            self.CALLS[name](value)
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_int_subclass_in_range(self, name):
+        member = Small.ONE if name == "basis-index" else Small.TWO
+        assert self.CALLS[name](member) == self.CALLS[name](int(member))
 
 
 class TestWorkspaceRejections:
@@ -224,7 +305,7 @@ class TestWorkspaceRejections:
             ({"lattices": {"q": {"gram": [[]]}}},
              "lattices.q.gram: Gram matrix must be 1x1"),
             ({"lattices": {"q": {"gram": [[1]], "e": [0, 1]}}},
-             "lattices.q.e: exceptional class length does not match the rank"),
+             "lattices.q.e: exceptional class of length 2 inside Z^1"),
             ({"lattices": {"q": {"gram": [[1, 0], [0, -2]], "e": [1, 0]}}},
              "lattices.q.e: exceptional class must be a nonzero multiple "
              "of the last basis vector"),
