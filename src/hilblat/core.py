@@ -77,7 +77,9 @@ class _Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = cls._fields + tuple(cls.__annotations__)
-        cls._field_values = attrgetter(*cls._fields)
+        get = attrgetter(*cls._fields)
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        cls._field_values = get if len(cls._fields) > 1 else staticmethod(lambda r: (get(r),))
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -496,23 +498,26 @@ def saturation_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[Vect
 
 
 class Lattice(_Record):
-    """A free Z-module of finite rank with an integral symmetric Gram matrix.
+    """A free Z-module of finite rank with an integral symmetric Gram matrix:
+    ``Lattice(gram)``, whose rank is the number of rows of ``gram``.
 
     Rank-0 lattices are legal and act as direct-sum identities.
     """
 
-    rank: int
     gram: Matrix
 
     def __post_init__(self):
         gram = as_matrix(self.gram)
-        if len(gram) != self.rank or any(len(row) != self.rank for row in gram):
-            raise LatticeError(f"Gram matrix must be {self.rank}x{self.rank}")
-        if not _is_int(self.rank):
-            raise LatticeError(f"rank must be an int, got {self.rank!r}")
+        k = len(gram)
+        if any(len(row) != k for row in gram):
+            raise LatticeError(f"Gram matrix must be {k}x{k}")
         if gram != transpose(gram):
             raise LatticeError("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", gram)
+
+    @cached_property
+    def rank(self) -> int:
+        return len(self.gram)
 
     @cached_property
     def _form(self) -> tuple[SignatureTriple, int]:
@@ -526,8 +531,8 @@ class Lattice(_Record):
 
     @classmethod
     def from_gram(cls, gram) -> "Lattice":
-        gram = as_matrix(gram)
-        return cls(len(gram), gram)
+        """``Lattice(gram)``."""
+        return cls(gram)
 
     def basis_vector(self, i: int) -> Vector:
         """The i-th unit vector, row i of ``identity_matrix(rank)``; an
@@ -547,7 +552,7 @@ def _gram_images(L: Lattice, vectors) -> list[tuple]:
 def diagonal_lattice(entries: Sequence[int]) -> Lattice:
     entries = as_vector(entries)
     unit = _identity_matrix(len(entries))
-    return Lattice(len(entries), tuple(tuple(x * u for u in row) for x, row in zip(entries, unit)))
+    return Lattice(tuple(tuple(x * u for u in row) for x, row in zip(entries, unit)))
 
 
 def pairing(L: Lattice, x, y):
@@ -584,15 +589,14 @@ def _block_diagonal(a: Matrix, b: Matrix) -> Matrix:
 
 def direct_sum(l1: Lattice, l2: Lattice) -> Lattice:
     """Orthogonal direct sum: block-diagonal Gram matrix."""
-    return Lattice(l1.rank + l2.rank, _block_diagonal(l1.gram, l2.gram))
+    return Lattice(_block_diagonal(l1.gram, l2.gram))
 
 
 def rescale(L: Lattice, k: int) -> Lattice:
     """Multiply the Gram matrix entrywise by a nonzero integer."""
     if not _is_int(k) or k == 0:
         raise LatticeError("rescaling factor must be a nonzero integer")
-    gram = tuple(tuple(k * x for x in row) for row in L.gram)
-    return Lattice(L.rank, gram)
+    return Lattice(tuple(tuple(k * x for x in row) for row in L.gram))
 
 
 def discriminant(L: Lattice) -> int:

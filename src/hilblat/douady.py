@@ -108,9 +108,11 @@ def k3_lattice() -> Lattice:
 
 
 def _points(n) -> int:
+    """``n`` as an exact int, so that an int subclass shares its cache entry
+    and repr with the int."""
     if not _is_int(n) or n < 2:
         raise LatticeError("the number of points n must be an integer >= 2")
-    return n
+    return int(n)
 
 
 class ExceptionalPair(_Record):
@@ -143,29 +145,21 @@ class ExceptionalPair(_Record):
 
     @cached_property
     def surface_block(self) -> Lattice:
-        rows = tuple(row[:-1] for row in self.lattice.gram[:-1])
-        return Lattice(self.lattice.rank - 1, rows)
+        return Lattice(tuple(row[:-1] for row in self.lattice.gram[:-1]))
 
 
 class DouadyLattice(ExceptionalPair):
     """Second-cohomology lattice of the Douady space of n points on a K3
-    surface: the K3 lattice extended by Z*delta in the last coordinate,
-    with exceptional class e = 2*delta."""
+    surface: ``DouadyLattice(n)`` is the K3 lattice extended by Z*delta in
+    the last coordinate, with q(delta) = -2(n-1) and exceptional class
+    e = 2*delta."""
 
     n: int
 
-    def __init__(self, n: int, full: Lattice):
+    def __init__(self, n: int):
+        n = _points(n)
+        full = Lattice(_block_diagonal(k3_lattice().gram, ((-2 * (n - 1),),)))
         super().__init__(full, (0,) * K3_RANK + (2,), n)
-
-    def __post_init__(self):
-        # natural_lift and extract_surface_isometry rely on this block shape
-        q = -2 * (_points(self.n) - 1)
-        expected = _block_diagonal(k3_lattice().gram, ((q,),))
-        if not isinstance(self.lattice, Lattice) or self.lattice.gram != expected:
-            raise LatticeError(
-                f"DOUADY({self.n}) must be the K3 lattice extended by delta "
-                f"with q(delta) = {q}"
-            )
 
     @property
     def full(self) -> Lattice:
@@ -191,17 +185,14 @@ class DouadyLattice(ExceptionalPair):
 
 
 def douady_lattice(n: int) -> DouadyLattice:
-    """The rank-23 lattice for the Douady space of n points (n >= 2), built
-    once per n."""
+    """``DouadyLattice(n)``, the rank-23 lattice for the Douady space of n
+    points (n >= 2), built once per n."""
     # checked before the cache, so that 2.0, True or an unhashable value is
     # refused with LatticeError whatever has been built
     return _douady_lattice(_points(n))
 
 
-@cache
-def _douady_lattice(n: int) -> DouadyLattice:
-    corner = diagonal_lattice((-2 * (n - 1),))
-    return DouadyLattice(n, direct_sum(k3_lattice(), corner))
+_douady_lattice = cache(DouadyLattice)
 
 
 def _target(D) -> tuple[Lattice, Vector]:

@@ -26,7 +26,7 @@ from .core import (
     _Record,
     _sift,
     _support,
-    as_matrix,
+    as_vector,
     discriminant,
     orthogonal_complement,
     rational_span_leq,
@@ -142,10 +142,10 @@ class IsometryGroup(_Record):
                 return False
             m = g.matrix
         else:
-            m = as_matrix(g)
-        n = self.ambient.rank
-        if len(m) != n or (m and len(m[0]) != n):
-            return False
+            m = tuple(map(as_vector, g))
+            n = self.ambient.rank
+            if len(m) != n or any(len(row) != n for row in m):
+                return False
         # a column outside the orbit maps to None, which no element holds
         full = list(map(self._index.get, zip(*m)))
         a = tuple(map(full.__getitem__, self._moved))

@@ -219,7 +219,7 @@ def _parse_lattice(name: str, value) -> LatticeEntry:
         raise WorkspaceError(f"{where}: missing 'gram'")
     gram = _matrix(value["gram"], f"{where}.gram")
     try:
-        lattice = Lattice(len(gram), gram)
+        lattice = Lattice(gram)
     except ValueError as exc:
         raise WorkspaceError(f"{where}.gram: {exc}") from exc
     if "e" not in value:

@@ -48,7 +48,7 @@ def random_nondegenerate_lattice(rng, min_rank=1, max_rank=6, lo=-3, hi=3):
         rank = rng.randint(min_rank, max_rank)
         g = random_symmetric_gram(rng, rank, lo, hi)
         if det(g) != 0:
-            return Lattice(rank, g)
+            return Lattice(g)
 
 
 def random_sublattice(L, rng, allow_unsaturated=True):
@@ -312,3 +312,21 @@ def reference_reflection(gram, v):
             )
         columns.append([(1 if i == j else 0) - twice // qv * v[i] for i in range(n)])
     return tuple(tuple(columns[j][i] for j in range(n)) for i in range(n)), None
+
+
+def reference_douady_gram(n):
+    """The 23 x 23 Gram matrix of H^2(S^[n], Z) = U^3 + E8(-1)^2 + <-2(n-1)>,
+    written out entry by entry: hyperbolic planes on (0, 1), (2, 3) and
+    (4, 5), then two negated E8 Cartan matrices in Bourbaki order (the chain
+    1-3-4-5-6-7-8 with node 2 on node 4), then q(delta) = -2(n-1).  A
+    test-only reference."""
+    g = [[0] * 23 for _ in range(23)]
+    for i in (0, 2, 4):
+        g[i][i + 1] = g[i + 1][i] = 1
+    for start in (6, 14):
+        for i in range(8):
+            g[start + i][start + i] = -2
+        for a, b in ((1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)):
+            g[start + a - 1][start + b - 1] = g[start + b - 1][start + a - 1] = 1
+    g[22][22] = -2 * (n - 1)
+    return tuple(map(tuple, g))

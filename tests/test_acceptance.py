@@ -175,7 +175,7 @@ def test_criterion_6_invariant_lattice_oracle():
         gram = tuple(tuple(row) for row in gram)
         if det(gram) == 0:
             continue
-        L = Lattice(rank, gram)
+        L = Lattice(gram)
         if rng.randint(0, 1):
             vec = tuple(rng.randint(-1, 1) for _ in range(rank))
             q = norm(L, vec)

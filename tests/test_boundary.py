@@ -199,12 +199,12 @@ class TestBoundaryMessages:
 
     def test_asymmetric_gram(self):
         with pytest.raises(LatticeError, match=r"^Gram matrix must be symmetric$"):
-            Lattice(3, [[1, 0, 0], [0, 1, 2], [0, 3, 1]])
-        assert Lattice(0, ()).gram == ()
+            Lattice([[1, 0, 0], [0, 1, 2], [0, 3, 1]])
+        assert Lattice(()).gram == ()
 
     @pytest.mark.parametrize("m", [[[1, 0, 0]] * 3, [[1, 0, 0], [0, 1, 0]], [], [[1], [0]]])
     def test_isometry_shape(self, m):
-        L = Lattice(2, [[2, 1], [1, 2]])
+        L = Lattice([[2, 1], [1, 2]])
         with pytest.raises(LatticeError, match=r"^matrix size does not match the lattice rank$"):
             isometry_violation(L, m)
 

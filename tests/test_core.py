@@ -432,11 +432,11 @@ class TestValueContract:
     are, and hash their field tuple."""
 
     def test_lattice(self):
-        a, b = Lattice(2, ((0, 1), (1, 0))), Lattice.from_gram([[0, 1], [1, 0]])
+        a, b = Lattice(((0, 1), (1, 0))), Lattice.from_gram([[0, 1], [1, 0]])
         signature(a)  # a cached form is not part of the value
         assert a == b and hash(a) == hash(b) and a == U
-        assert hash(a) == hash((a.rank, a.gram))
-        assert a != Lattice(2, ((0, 1), (1, 2))) and a != Lattice(1, ((0,),))
+        assert hash(a) == hash((a.gram,))
+        assert a != Lattice(((0, 1), (1, 2))) and a != Lattice(((0,),))
         assert a.__eq__(object()) is NotImplemented
 
     def test_sublattice(self):
@@ -460,17 +460,19 @@ class TestValueContract:
 
     @pytest.mark.parametrize("rank, gram", [(2.0, ((1, 0), (0, 1))), (True, ((1,),))])
     def test_rank_is_an_int(self, rank, gram):
-        # Lattice(True, ...) would equal and hash like Lattice(1, ...), and
-        # print as rank=True; rank 2.0 would fail later, in direct_sum
-        with pytest.raises(LatticeError, match=r"^rank must be an int, got "):
-            Lattice(rank, gram)
+        # the rank is read off the Gram matrix, so no lattice carries a rank
+        # such as 2.0 or True that equals its row count without being an int
+        L = Lattice(gram)
+        assert L.rank == rank and type(L.rank) is int
+        assert repr(L) == f"Lattice(gram={L.gram!r})"
 
-    def test_shape_is_checked_before_the_rank_type(self):
-        with pytest.raises(LatticeError, match=r"^Gram matrix must be 1x1$"):
-            Lattice("1", ((1,),))
+    def test_a_non_square_gram_names_its_row_count(self):
+        for gram, k in ((((1, 2),), 1), (((1,), (2,)), 2), (((),), 1)):
+            with pytest.raises(LatticeError, match=rf"^Gram matrix must be {k}x{k}$"):
+                Lattice(gram)
 
     def test_types_never_compare_equal(self):
-        L = Lattice(0, ())
+        L = Lattice(())
         values = [L, Sublattice(L, []), Isometry(L, ())]
         for x, y in itertools.permutations(values, 2):
             assert x != y and x.__eq__(y) is NotImplemented

@@ -1,5 +1,6 @@
 import random
 import re
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 from helpers import (
     random_norm_pm2_vector,
     random_reflection_product,
+    reference_douady_gram,
     reference_index_norm_solutions,
 )
 from hilblat import (
+    DouadyLattice,
     ExceptionalPair,
     LatticeError,
     beauville_fixture,
@@ -91,6 +94,24 @@ class TestDouadyLattice:
         for bad in (2.0, True, [2], "2"):
             with pytest.raises(LatticeError):
                 douady_lattice(bad)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_built_from_n_alone(self, n):
+        D = DouadyLattice(n)
+        assert D.full.gram == reference_douady_gram(n) and D.n == n
+        assert D.e == tuple(2 * x for x in D.delta)
+        assert D == douady_lattice(n) and type(douady_lattice(n)) is DouadyLattice
+
+    @pytest.mark.parametrize("n", [1, True, 2.0], ids=repr)
+    def test_constructor_refuses_what_douady_lattice_refuses(self, n):
+        with pytest.raises(LatticeError, match=r"^the number of points n must be an integer >= 2$"):
+            DouadyLattice(n)
+
+    def test_an_int_subclass_shares_the_cache_entry_and_repr(self):
+        Points = IntEnum("Points", {"TWO": 2})
+        assert douady_lattice(Points.TWO) is douady_lattice(2)
+        assert repr(DouadyLattice(Points.TWO)) == repr(D2)
+        assert type(DouadyLattice(Points.TWO).n) is int
 
     def test_discriminant(self):
         assert discriminant(D2.full) == 2

@@ -64,7 +64,7 @@ class TestDouadyIsAPair:
         assert isinstance(D, ExceptionalPair)
         assert D.lattice is D.full and D.e == (0,) * K3_RANK + (2,)
         assert D.surface_block == K3 and D.rank == 23 and D.delta_index == K3_RANK
-        assert D == DouadyLattice(3, D.full) and hash(D) == hash(DouadyLattice(3, D.full))
+        assert D == DouadyLattice(3) and hash(D) == hash(DouadyLattice(3))
         assert D != douady_lattice(2) and D != ExceptionalPair(D.full, D.e)
 
     @exact

@@ -213,7 +213,7 @@ class TestPermutationClosure:
         assert str(err.value) == CAP_MESSAGE.format(191)
 
     def test_rank_zero_lattice(self):
-        L = Lattice(0, ())
+        L = Lattice(())
         for gens in ([], [()], [(), ()]):
             G = closure(L, gens)
             assert G.order == 1
@@ -231,6 +231,12 @@ class TestPermutationClosure:
         assert tuple(tuple(-x for x in row) for row in identity_matrix(22)) not in G
         with pytest.raises(LatticeError):
             ((0.5,),) in G
+        # a ragged raw matrix has the wrong shape, unless an entry is bad
+        trivial = closure(U, [])
+        assert ((1,), (0, 1)) not in trivial and ((1, 0), (0, 1, 0)) not in trivial
+        for bad in (((1,), (0, 1.0)), ((1, 0), (0, 1), (True,))):
+            with pytest.raises(LatticeError, match=r"^integer entry expected, got "):
+                bad in trivial
 
     def test_isometry_membership(self):
         r6, r8 = (reflection_isometry(K3, _e(i)) for i in (6, 8))
@@ -260,12 +266,11 @@ class TestPermutationClosure:
         shear[1][0] = 1  # column 0 becomes e_0 + e_1, outside the orbit
         assert shear not in G
         assert tuple(tuple(2 * x for x in row) for row in identity_matrix(22)) not in G
-        for m in (identity_matrix(21), identity_matrix(23), SWAP, (), ((),),
+        for m in (identity_matrix(21), identity_matrix(23), SWAP, (), ((),), ((1, 2), (3,)),
                   identity_matrix(22)[:21], tuple(row[:21] for row in identity_matrix(22))):
             assert m not in G
-        for bad in (((1, 2), (3,)), [[True] * 22] * 22):
-            with pytest.raises(LatticeError):
-                bad in G
+        with pytest.raises(LatticeError):
+            [[True] * 22] * 22 in G
         assert "elements" not in G.__dict__
 
     def test_no_matrix_products(self, monkeypatch):
@@ -403,7 +408,7 @@ class TestClosureAgainstOracle:
 
     @pytest.mark.parametrize("pad", [0, 1, 3])
     def test_no_generators(self, pad):
-        L, _ = _padded(Lattice(0, ()), [], pad, True)
+        L, _ = _padded(Lattice(()), [], pad, True)
         G = closure(L, [])
         expected = abstract_matrix_closure([], L.rank, cap=1)
         assert G.order == 1 and G.elements == tuple(expected)
@@ -932,7 +937,7 @@ def _random_isometry_group(rng):
         gram = tuple(tuple(row) for row in gram)
         if det(gram) == 0:
             continue
-        L = Lattice(rank, gram)
+        L = Lattice(gram)
         if rng.randint(0, 1):
             vec = tuple(rng.randint(-1, 1) for _ in range(rank))
             q = norm(L, vec)

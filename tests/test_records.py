@@ -22,7 +22,6 @@ from hilblat import (
     Workspace,
     closure,
     diagonal_lattice,
-    douady_lattice,
     hyperbolic_plane,
 )
 from hilblat.workspace import NamedGroup, NamedIsometry, NamedSublattice, NamedVector
@@ -35,11 +34,11 @@ ANTILINE = Sublattice(U, [(1, -1)])
 # (class, constructor arguments by position, their names); the field
 # names are the argument names except for DouadyLattice
 RECORDS = [
-    (Lattice, (2, SWAP), ("rank", "gram")),
+    (Lattice, (SWAP,), ("gram",)),
     (Sublattice, (U, LINE.basis), ("ambient", "basis")),
     (Isometry, (U, SWAP), ("ambient", "matrix")),
     (ExceptionalPair, (diagonal_lattice([4, -8]), (0, 1)), ("lattice", "e")),
-    (DouadyLattice, (2, douady_lattice(2).full), ("n", "full")),
+    (DouadyLattice, (2,), ("n",)),
     (
         KahlerCandidateReport,
         (Fraction(1, 2), Fraction(3), Fraction(-4), Fraction(5, 3), True, False, True),

@@ -167,7 +167,7 @@ class TestUnreachedRejections:
     )
     def test_exceptional_pair(self, gram, e, message):
         with pytest.raises(LatticeError) as exc:
-            ExceptionalPair(Lattice(len(gram), gram), e)
+            ExceptionalPair(Lattice(gram), e)
         assert str(exc.value) == message
 
     def test_plain_lattice_is_no_target(self):
@@ -273,7 +273,6 @@ class TestIntegerArguments:
         "width": lambda k: hermite_basis([(1, 2)], k),
         "identity-width": identity_matrix,
         "kernel-width": lambda k: integer_kernel(((1, 2),), k),
-        "rank": lambda k: Lattice(k, ((1, 0), (0, 1))),
         "basis-index": lambda k: U.basis_vector(k),
         "rescale": lambda k: rescale(U, k),
         "douady-n": douady_lattice,
