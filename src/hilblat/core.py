@@ -193,9 +193,10 @@ def _exact_vector(data) -> tuple:
 
 
 def identity_matrix(n: int) -> Matrix:
-    """The n x n identity matrix; ``n`` must be a non-negative int."""
-    _check_width(n)
-    return _identity_matrix(n)
+    """The n x n identity matrix; ``n`` must be a non-negative int.  An int
+    subclass such as an ``IntEnum`` member gets the same cached matrix as
+    the plain int."""
+    return _identity_matrix(_check_width(n))
 
 
 @cache
@@ -423,6 +424,23 @@ def _kernel_of_hnf(h: tuple[Vector, ...], width: int) -> tuple[Vector, ...]:
     return tuple(row[r:] for row in _hnf(aug)[r:])
 
 
+def _saturation(h: tuple[Vector, ...], width: int) -> tuple[Vector, ...]:
+    """Canonical basis of the saturation (rational span intersected with
+    Z^width) of the span of a canonical Hermite basis ``h``: the kernel
+    of its kernel, two echelon passes from [h^T | I].
+
+    When every pivot is 1, ``h`` itself is returned.  The pivot columns
+    embed the saturation in Z^r and send the span of ``h`` to a sublattice
+    of index P there, the product of the pivots, so the index of the span
+    in its saturation divides P; with P = 1 the span is saturated, and its
+    canonical basis is ``h``.
+    """
+    # the first nonzero entry of each row is its pivot
+    if all(next(filter(None, row)) == 1 for row in h):
+        return h
+    return _kernel_of_hnf(_kernel_of_hnf(h, width), width)
+
+
 def _sift(basis: tuple[Vector, ...], vectors, rational: bool = False) -> bool:
     """Whether every vector lies in the integer span of a canonical Hermite
     basis, or with ``rational`` in its rational span; no input checks.
@@ -447,13 +465,15 @@ def _sift(basis: tuple[Vector, ...], vectors, rational: bool = False) -> bool:
     return not any(any(_reduce([scale * x for x in v], -1, pivots, cols)) for v in vectors)
 
 
-def _check_width(width) -> None:
+def _check_width(width) -> int:
+    """``width`` as a plain int, unless it is not a non-negative int."""
     if not _is_int(width) or width < 0:
         raise LatticeError(f"width must be a non-negative int, got {width!r}")
+    return int(width)
 
 
 def _rows(vectors: Iterable[Sequence[int]], width: int) -> list[Vector]:
-    _check_width(width)
+    width = _check_width(width)
     rows = [as_vector(v) for v in vectors]
     for row in rows:
         _of_length(row, width, "vector")
@@ -486,7 +506,7 @@ def integer_kernel(matrix, width: int | None = None) -> tuple[Vector, ...]:
             raise LatticeError("kernel of an empty matrix needs an explicit width")
         width = len(rows[0])
     else:
-        _check_width(width)
+        width = _check_width(width)
         if rows and len(rows[0]) != width:
             raise LatticeError("matrix width disagrees with the requested kernel width")
     return _kernel(rows, width)
@@ -494,7 +514,7 @@ def integer_kernel(matrix, width: int | None = None) -> tuple[Vector, ...]:
 
 def saturation_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[Vector, ...]:
     """Canonical basis of (rational span of ``vectors``) intersected with Z^width."""
-    return _kernel_of_hnf(_kernel(_rows(vectors, width), width), width)
+    return _saturation(_hnf(_rows(vectors, width)), width)
 
 
 class Lattice(_Record):
@@ -628,7 +648,7 @@ class Sublattice(_Record):
     def saturated(self) -> bool:
         """Whether the integer span equals the intersection of the rational
         span with the ambient lattice; computed on first use."""
-        return saturate(self.ambient, self).basis == self.basis
+        return _saturation(self.basis, self.ambient.rank) == self.basis
 
     @cached_property
     def _form(self) -> tuple[SignatureTriple, int]:
@@ -684,9 +704,13 @@ def orthogonal_complement(L: Lattice, s: Sublattice) -> Sublattice:
 
 
 def saturate(L: Lattice, s: Sublattice) -> Sublattice:
-    """Primitive closure: (rational span of s) intersected with L."""
+    """Primitive closure: (rational span of s) intersected with L.
+
+    The kernel of the kernel of the canonical basis, except that a basis
+    whose pivots are all 1 is already saturated and is kept as it is.
+    """
     _check_on(L, s, "sublattice")
-    return Sublattice._trusted(L, _kernel_of_hnf(_kernel_of_hnf(s.basis, L.rank), L.rank))
+    return Sublattice._trusted(L, _saturation(s.basis, L.rank))
 
 
 def isometry_violation(L: Lattice, matrix) -> str | None:

@@ -76,7 +76,7 @@ _E8_EDGES = ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7))
 @cache
 def hyperbolic_plane() -> Lattice:
     """The even unimodular rank-2 lattice U with Gram [[0,1],[1,0]]."""
-    return Lattice.from_gram(((0, 1), (1, 0)))
+    return Lattice(((0, 1), (1, 0)))
 
 
 @cache
@@ -85,7 +85,7 @@ def e8_lattice() -> Lattice:
     gram = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
     for i, j in _E8_EDGES:
         gram[i][j] = gram[j][i] = -1
-    return Lattice.from_gram(gram)
+    return Lattice(gram)
 
 
 @cache

@@ -24,6 +24,7 @@ from .core import (
     _isometry_matrix,
     _kernel,
     _Record,
+    _saturation,
     _sift,
     _support,
     as_vector,
@@ -74,8 +75,11 @@ class IsometryGroup(_Record):
     tuples.  The sorted tuple of element matrices is built only when
     ``elements`` is first read.  The generators are also kept as the
     nonzero entries of their columns, the form in which they act on
-    vectors.  The fixed sublattice and the orthogonal complement of that
-    are computed once, on first use, and shared by every reader.
+    vectors.  The fixed sublattice L^G and its orthogonal complement L_G
+    are each computed once, on first use, and shared by every reader.
+    L^G is the integer kernel of the stacked g - I; on a nondegenerate
+    ambient L_G is the saturation of the images of the g - 1, so neither
+    waits for the other.
 
     Two groups are equal when they act on the same lattice, have the same
     order, and every generator of one is an element of the other; the hash
@@ -128,8 +132,40 @@ class IsometryGroup(_Record):
 
     @cached_property
     def _coinvariant(self) -> Sublattice:
-        """Orthogonal complement of the fixed sublattice; saturated and G-stable."""
-        return orthogonal_complement(self.ambient, self._invariant)
+        """Orthogonal complement of the fixed sublattice; saturated and G-stable.
+
+        On a nondegenerate ambient it is the saturation of the span of the
+        vectors (g - 1) e_j, over the generators g and the moved positions
+        j, and does not need the fixed sublattice.  Since
+        q((g - 1) x, y) = q(x, (g^-1 - 1) y), the orthogonal space of
+        S = sum of im(g - 1) over Q is the space fixed by every g^-1, which
+        is the rational span of L^G; on a nondegenerate form S is in turn
+        the orthogonal space of L^G, and L_G = (L^G)-perp is its
+        saturation.  A fixed basis vector gives (g - 1) e_j = 0, so the
+        moved positions are enough.  The saturation is computed on the
+        coordinates where some of these vectors is nonzero, since their
+        span lies in that saturated coordinate sublattice, and padded back
+        with zeros; an embedding that keeps the order of the coordinates
+        keeps a Hermite basis canonical.  A degenerate ambient takes the
+        orthogonal complement of the fixed sublattice.
+        """
+        L = self.ambient
+        if discriminant(L) == 0:
+            return orthogonal_complement(L, self._invariant)
+        n = L.rank
+        identity = _identity_matrix(n)
+        vectors = [
+            tuple(map(sub, g_columns[j], identity[j]))
+            for g_columns in map(transpose, self.generators)
+            for j in self._moved
+        ]
+        columns = list(zip(*vectors))
+        support = [k for k, column in enumerate(columns) if any(column)]
+        h = _saturation(_hnf(zip(*map(columns.__getitem__, support))), len(support))
+        # the columns of h go back to their positions; the others are zero
+        placed = dict(zip(support, zip(*h)))
+        zero = (0,) * len(h)
+        return Sublattice._trusted(L, tuple(zip(*(placed.get(k, zero) for k in range(n)))))
 
     def __contains__(self, g) -> bool:
         """Whether ``g``, an Isometry or a raw integer matrix, is an element.
@@ -242,7 +278,13 @@ def invariant_sublattice(G: IsometryGroup) -> Sublattice:
 
 
 def coinvariant_sublattice(G: IsometryGroup) -> Sublattice:
-    """Orthogonal complement of the fixed sublattice; saturated and G-stable."""
+    """Orthogonal complement of the fixed sublattice; saturated and G-stable.
+
+    On a nondegenerate ambient it is computed as the saturation of the
+    span of the images of g - 1 over the generators g, which over Q is
+    the orthogonal space of the fixed sublattice; on a degenerate one as
+    the orthogonal complement itself.
+    """
     return G._coinvariant
 
 
@@ -278,12 +320,17 @@ def verify_pair_properties(G: IsometryGroup) -> PairReport:
 
     All three hold for any finite isometry group of a nondegenerate
     lattice; rank-0 pieces pass vacuously (empty determinant is 1).
+
+    The intersection is read off the invariant Gram determinant: as the
+    coinvariant sublattice is (L^G)-perp, L^G meets it in the radical of
+    the form restricted to L^G, which is zero exactly when that form's
+    determinant is nonzero.
     """
     if discriminant(G.ambient) == 0:
         raise LatticeError("ambient Gram matrix must be nondegenerate")
     inv, co = G._invariant, G._coinvariant
-    trivial = len(_hnf(inv.basis + co.basis)) == inv.rank + co.rank
-    return PairReport(inv, co, trivial, inv._form[1], co._form[1])
+    inv_det = inv._form[1]
+    return PairReport(inv, co, inv_det != 0, inv_det, co._form[1])
 
 
 def transcendental_sublattice(L: Lattice, ns: Sublattice) -> Sublattice:
@@ -425,6 +472,15 @@ def symplectic_action_report(
     coinvariant sublattice sits inside the Neron-Severi block, and (3) in
     the parabolic and elliptic cases, whether the coinvariant sublattice is
     negative definite.  The coinvariant signature is always reported.
+
+    The three containments of (1) and (2) are one fact, computed once as
+    whether the rational span of the transcendental block T = NS-perp
+    lies in that of L^G.  G fixes T pointwise exactly when T lies in L^G,
+    and as L^G is saturated that is a rational containment.  On the
+    nondegenerate ambient that the classification requires, T lies in
+    L^G exactly when (L^G)-perp = L_G lies in T-perp, whose rational span
+    is that of NS.  T is G-stable because NS is, which the stability
+    check below has verified.
     """
     amb = _plain_lattice(target)
     _check_on(amb, G, "group")
@@ -432,7 +488,8 @@ def symplectic_action_report(
     _moved_images(G, ns, "the Neron-Severi block is not stable under the group")
     cls = ns_classification(amb, ns)
     tr = cls.transcendental
-    inv, co = G._invariant, G._coinvariant
+    co = G._coinvariant
+    fixed = rational_span_leq(tr, G._invariant)
     negdef = (
         is_negative_definite(co)
         if cls.ns_type in (NSType.PARABOLIC, NSType.ELLIPTIC)
@@ -440,10 +497,9 @@ def symplectic_action_report(
     )
     return SymplecticActionReport(
         ns_type=cls.ns_type,
-        # tr = NS-perp is G-stable because NS is, so this cannot raise
-        fixes_transcendental_pointwise=acts_trivially_on(G, tr),
-        transcendental_in_invariant=rational_span_leq(tr, inv),
-        coinvariant_in_ns=rational_span_leq(co, ns),
+        fixes_transcendental_pointwise=fixed,
+        transcendental_in_invariant=fixed,
+        coinvariant_in_ns=fixed,
         coinvariant_negative_definite=negdef,
         coinvariant_signature=sub_signature(co),
     )

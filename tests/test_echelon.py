@@ -281,6 +281,41 @@ def random_test_vector(rng, basis, width):
     return tuple(v)
 
 
+def random_unit_pivot_basis(rng, width):
+    """A canonical Hermite basis whose pivots are all 1: rows that start
+    with a 1 in distinct columns, followed by random entries."""
+    cols = sorted(rng.sample(range(width), rng.randint(0, width)))
+    rows = [[0] * c + [1] + [rng.randint(-9, 9) for _ in range(width - c - 1)] for c in cols]
+    return core._hnf(rows)
+
+
+class TestSaturation:
+    """core._saturation, behind saturate, saturation_basis,
+    Sublattice.saturated and the coinvariant sublattice, against the kernel
+    of the kernel; a basis whose pivots are all 1 comes back unchanged."""
+
+    @exact
+    @given(st.integers(0, 2**32), st.integers(0, 7), st.booleans())
+    def test_equals_the_kernel_of_the_kernel(self, seed, width, unit):
+        rng = random.Random(seed)
+        h = random_unit_pivot_basis(rng, width) if unit else random_canonical_basis(rng, width)
+        got = core._saturation(h, width)
+        assert got == core._kernel_of_hnf(core._kernel_of_hnf(h, width), width)
+        pivots = [next(x for x in row if x) for row in h]
+        assert (got is h) == (prod(pivots) == 1)
+        assert not unit or got is h
+
+    @exact
+    @given(st.integers(0, 2**32))
+    def test_public_readers(self, seed):
+        rng = random.Random(seed)
+        L = random_nondegenerate_lattice(rng, max_rank=6)
+        S = random_sublattice(L, rng)
+        expected = core._saturation(S.basis, L.rank)
+        assert saturate(L, S).basis == saturation_basis(S.basis, L.rank) == expected
+        assert S.saturated == (expected == S.basis)
+
+
 class TestSift:
     """Membership by sifting against a canonical basis, integral and
     rational, agrees with the echelon tests it replaced: the HNF of the

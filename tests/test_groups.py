@@ -9,6 +9,7 @@ import hilblat.core as core
 import hilblat.groups as groups
 from helpers import (
     abstract_matrix_closure,
+    random_nondegenerate_lattice,
     random_signed_permutation,
     random_sublattice,
     random_symmetric_gram,
@@ -41,6 +42,8 @@ from hilblat import (
     natural_lift,
     norm,
     ns_classification,
+    orthogonal_complement,
+    rational_span_leq,
     reflection_isometry,
     symplectic_action_report,
     transcendental_sublattice,
@@ -815,7 +818,7 @@ class TestOnePairPerGroup:
         assert invariant_sublattice(G) is rep.invariant
         assert coinvariant_sublattice(G) is rep.coinvariant
 
-    def test_three_kernels_across_the_four_readers(self, monkeypatch):
+    def test_two_kernels_across_the_four_readers(self, monkeypatch):
         D = douady_lattice(2)
         gens = [natural_lift(D, reflection_isometry(K3, _e(i))).matrix for i in (6, 8)]
         G = closure(D.full, gens)  # W(A2) on two roots of E8(-1)
@@ -829,16 +832,236 @@ class TestOnePairPerGroup:
 
         monkeypatch.setattr(core, "_kernel", kernel)
         monkeypatch.setattr(groups, "_kernel", kernel)
-        inv, co = invariant_sublattice(G), coinvariant_sublattice(G)
-        assert calls[0] == [
-            tuple(g[i][j] - (1 if i == j else 0) for j in range(23))
-            for g in gens for i in range(23)
+        # L_G takes no kernel and does not wait for L^G
+        co = coinvariant_sublattice(G)
+        assert calls == [] and "_invariant" not in G.__dict__
+        # L^G takes one, on the stacked g - I
+        inv = invariant_sublattice(G)
+        assert calls == [
+            [
+                tuple(g[i][j] - (1 if i == j else 0) for j in range(23))
+                for g in gens for i in range(23)
+            ]
         ]
-        assert verify_pair_properties(G).all_pass
+        rep = verify_pair_properties(G)
+        assert rep.all_pass and rep.invariant is inv and rep.coinvariant is co
         assert symplectic_action_report(D, G, ns).all_verified
-        # one kernel each for L^G, L_G and the transcendental block NS-perp
-        assert len(calls) == 3
+        # the second and last kernel is the transcendental block NS-perp
+        assert len(calls) == 2
+        assert invariant_sublattice(G) is inv and coinvariant_sublattice(G) is co
         assert (inv.rank, co.rank) == (21, 2)
+
+
+def _permutation_matrix(images):
+    """The matrix sending basis vector j to basis vector images[j]."""
+    n = len(images)
+    return tuple(tuple(int(images[j] == i) for j in range(n)) for i in range(n))
+
+
+def _swap_blocks(a, b, size):
+    images = list(range(22))
+    images[a : a + size], images[b : b + size] = range(b, b + size), range(a, a + size)
+    return _permutation_matrix(images)
+
+
+def _paper_groups():
+    """The finite groups of the paper's last section on K3 in the standard
+    marking, as (name, generators): the Nikulin involution swapping the two
+    E8(-1) summands, S3 permuting the three U summands, the Weyl groups of
+    A2, A3, A4 and D4 in the first E8(-1), and those of A2, A3 and A4
+    acting on both summands alike next to the Nikulin involution."""
+    nikulin = _swap_blocks(*(b.start for b in E8_BLOCKS), 8)
+    # simple roots of E8 numbered as in douady._E8_EDGES
+    nodes = {"A2": (0, 2), "A3": (0, 2, 3), "A4": (0, 2, 3, 4), "D4": (1, 2, 3, 4)}
+
+    def reflection(*coords):
+        m = identity_matrix(22)
+        for c in coords:
+            m = mat_mul(m, reflection_isometry(K3, _e(c)).matrix)
+        return m
+
+    first, second = (b.start for b in E8_BLOCKS)
+    out = [("nikulin", [nikulin]), ("S3-on-U", [_swap_blocks(0, 2, 2), _swap_blocks(2, 4, 2)])]
+    out += [(f"W({k})", [reflection(first + i) for i in v]) for k, v in nodes.items()]
+    out += [
+        (f"W({k})xnikulin", [reflection(first + i, second + i) for i in nodes[k]] + [nikulin])
+        for k in ("A2", "A3", "A4")
+    ]
+    return out
+
+
+PAPER_GROUPS = _paper_groups()
+
+
+def _group_of_family(family, rng):
+    """A group from one of the families the other tests build: random
+    signed permutations on an averaged Gram matrix, the isometry pool of
+    U + U + <-2> + <-2> with padding, or Weyl groups of roots of E8(-1)
+    conjugated by mixing reflections and sometimes lifted to DOUADY(n)."""
+    if family == "random":
+        return _random_isometry_group(rng)[0]
+    if family == "pool":
+        L0, pool = _identity_pool()
+        gens = rng.sample(pool, rng.randint(0, 3))
+        L, gens = _padded(L0, gens, rng.randint(0, 2), rng.randint(0, 1))
+        if abstract_matrix_closure(gens, L.rank, cap=64) is None:
+            gens = gens[:1]  # a root reflection pair can make the group infinite
+        return closure(L, gens, cap=64)
+    blocks = E8_BLOCKS if rng.randint(0, 1) else E8_BLOCKS[:1]
+    gens = [
+        reflection_isometry(K3, _block_root(rng, rng.choice(blocks))).matrix
+        for _ in range(rng.randint(1, 3))
+    ]
+    for _ in range(rng.randint(0, 2)):
+        r = _mixing_reflection(rng)
+        gens = [mat_mul(r, mat_mul(g, r)) for g in gens]
+    lift = rng.choice([None, 2, 3])
+    if lift is None:
+        return closure(K3, gens)
+    D = douady_lattice(lift)
+    return closure(D.full, [natural_lift(D, g).matrix for g in gens])
+
+
+class TestCoinvariantFromImages:
+    """On a nondegenerate ambient L_G is the saturation of the images of the
+    g - 1; it equals the orthogonal complement of L^G bit for bit."""
+
+    @staticmethod
+    def _assert_complement(G):
+        co = coinvariant_sublattice(G)  # computed before L^G
+        assert co.basis == orthogonal_complement(G.ambient, invariant_sublattice(G)).basis
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32), st.sampled_from(["random", "pool", "weyl"]))
+    def test_equals_the_complement_of_the_invariants(self, seed, family):
+        self._assert_complement(_group_of_family(family, random.Random(seed)))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from(range(len(PAPER_GROUPS))),
+        st.sampled_from([None, 2, 3]),
+        st.integers(0, 8),
+        st.integers(0, 2),
+    )
+    def test_paper_groups_in_generic_markings(self, seed, which, lift, summand_depth, mixing):
+        """The paper's groups conjugated by reflections in roots inside one
+        summand and in vectors that mix summands, on K3, DOUADY(2) and
+        DOUADY(3)."""
+        rng = random.Random(seed)
+        _, gens = PAPER_GROUPS[which]
+        summands = ((0, 1), (2, 3), (4, 5)) + tuple(tuple(b) for b in E8_BLOCKS)
+        for _ in range(summand_depth):
+            v = [0] * 22
+            while norm(K3, v) not in (2, -2):
+                v = [0] * 22
+                for i in rng.sample(rng.choice(summands), 2):
+                    v[i] = rng.randint(-2, 2)
+            r = reflection_isometry(K3, v).matrix
+            gens = [mat_mul(r, mat_mul(g, r)) for g in gens]
+        for _ in range(mixing):
+            r = _mixing_reflection(rng)
+            gens = [mat_mul(r, mat_mul(g, r)) for g in gens]
+        if lift is None:
+            G = closure(K3, gens)
+        else:
+            D = douady_lattice(lift)
+            G = closure(D.full, [natural_lift(D, g).matrix for g in gens])
+        self._assert_complement(G)
+
+    @pytest.mark.parametrize("name, gens", PAPER_GROUPS, ids=[n for n, _ in PAPER_GROUPS])
+    def test_paper_groups_in_the_standard_marking(self, name, gens):
+        G = closure(K3, gens)
+        self._assert_complement(G)
+        co = coinvariant_sublattice(G)
+        assert co.rank == 22 - invariant_sublattice(G).rank
+        assert is_negative_definite(co) == (name != "S3-on-U")
+
+    def test_degenerate_ambient_takes_the_complement(self, monkeypatch):
+        L = direct_sum(U, Lattice(((0,),)))  # U + <0>
+        G = closure(L, [((0, 1, 0), (1, 0, 0), (0, 0, 1))])  # the U swap
+        calls = []
+        real = groups.orthogonal_complement
+
+        def complement(L, s):
+            calls.append(s)
+            return real(L, s)
+
+        monkeypatch.setattr(groups, "orthogonal_complement", complement)
+        co = coinvariant_sublattice(G)
+        assert calls == [invariant_sublattice(G)]
+        # the radical <0> is orthogonal to everything, so it lies in
+        # (L^G)-perp, while the image of g - 1 is the line of (1, -1, 0)
+        assert co.basis == ((1, -1, 0), (0, 0, 1))
+        assert hermite_basis([(-1, 1, 0)], 3) != co.basis
+
+
+class TestFactsReadOnce:
+    """verify_pair_properties reads intersection_trivial off det(q|L^G), and
+    symplectic_action_report computes its three containment fields as one."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32), st.sampled_from(["random", "pool", "weyl"]))
+    def test_intersection_trivial_equals_the_rank_test(self, seed, family):
+        G = _group_of_family(family, random.Random(seed))
+        rep = verify_pair_properties(G)
+        inv, co = rep.invariant, rep.coinvariant
+        rank = len(core._hnf(inv.basis + co.basis))
+        assert rep.intersection_trivial == (rank == inv.rank + co.rank)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.integers(0, 2**32))
+    def test_a_sublattice_meets_its_complement_in_its_radical(self, seed):
+        """The lemma behind the field, on any sublattice S of a
+        nondegenerate lattice: S meets S-perp only in zero iff det(q|S) != 0;
+        degenerate S included."""
+        rng = random.Random(seed)
+        L = random_nondegenerate_lattice(rng, max_rank=4, lo=-2, hi=2)
+        if rng.randint(0, 2):
+            s = random_sublattice(L, rng)
+        else:  # an isotropic line when there is one
+            vectors = itertools.product(range(-2, 3), repeat=L.rank)
+            v = next((v for v in vectors if any(v) and not norm(L, v)), L.basis_vector(0))
+            s = Sublattice(L, [v])
+        perp = orthogonal_complement(L, s)
+        rank = len(core._hnf(s.basis + perp.basis))
+        assert (rank == s.rank + perp.rank) == (det(s.gram()) != 0)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from(["random", "weyl"]),
+        st.sampled_from(["invariant", "coinvariant", "full", "orbit"]),
+    )
+    def test_containment_fields_equal_the_separate_checks(self, seed, family, kind):
+        rng = random.Random(seed)
+        G = _group_of_family(family, rng)
+        L = G.ambient
+        ns = _sublattice_of_kind(G, L, kind, rng)
+        try:
+            rep = symplectic_action_report(L, G, ns)
+        except LatticeError:
+            return  # a stable block may match no Picard-block pattern
+        tr = transcendental_sublattice(L, ns)
+        inv, co = invariant_sublattice(G), coinvariant_sublattice(G)
+        assert rep.fixes_transcendental_pointwise == acts_trivially_on(G, tr)
+        assert rep.transcendental_in_invariant == rational_span_leq(tr, inv)
+        assert rep.coinvariant_in_ns == rational_span_leq(co, ns)
+
+    def test_containment_fields_take_both_values(self):
+        D = douady_lattice(2)
+        gens = [natural_lift(D, reflection_isometry(K3, _e(i))).matrix for i in (6, 8)]
+        G = closure(D.full, gens)
+        inside = Sublattice(D.full, [_e(6) + (0,), _e(8) + (0,), D.delta])
+        outside = Sublattice(D.full, [D.delta])
+        for ns, value in ((inside, True), (outside, False)):
+            rep = symplectic_action_report(D, G, ns)
+            fields = (
+                rep.fixes_transcendental_pointwise,
+                rep.transcendental_in_invariant,
+                rep.coinvariant_in_ns,
+            )
+            assert fields == (value,) * 3
 
 
 class TestNegativeDefinite:

@@ -8,6 +8,7 @@ from enum import IntEnum
 
 import pytest
 
+import hilblat.core as core
 import hilblat.douady as douady
 from hilblat import (
     ExceptionalPair,
@@ -216,6 +217,14 @@ class TestWidth:
         with pytest.raises(LatticeError) as exc:
             integer_kernel(matrix, width)
         assert str(exc.value) == f"width must be a non-negative int, got {width!r}"
+
+    def test_an_int_subclass_shares_the_cache_entry(self):
+        Width = IntEnum("Width", {"two": 2})
+        core._identity_matrix.cache_clear()
+        assert identity_matrix(Width.two) is identity_matrix(2)
+        assert core._identity_matrix.cache_info().currsize == 1
+        assert integer_kernel((), Width.two) == integer_kernel((), 2)
+        assert hermite_basis([(2, 4)], Width.two) == ((2, 4),)
 
     def test_valid_widths_still_work(self):
         assert identity_matrix(0) == ()
