@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import compress
+from itertools import chain, compress
 from math import prod
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -152,17 +152,24 @@ def _entry(x) -> int:
     return x
 
 
-_INT = frozenset({int})
 _EXACT = frozenset({int, Fraction})
 
 
+def _all_int(entries) -> bool:
+    """Whether every entry is exactly an int, so neither a bool nor another
+    int subclass: the one type scan at C speed behind every integer row
+    and matrix the library reads."""
+    types = list(map(type, entries))
+    return types.count(int) == len(types)
+
+
 def _int_row(data) -> Vector:
-    """``data`` as an integer tuple.  One type scan at C speed accepts a row
-    of exact ints (``type(x) is int`` also excludes bool); only a row with
-    some other entry is checked entry by entry, so an int subclass still
-    passes unchanged and a bad entry gets the same message."""
+    """``data`` as an integer tuple.  One type scan accepts a row of exact
+    ints; only a row with some other entry is checked entry by entry, so
+    an int subclass still passes unchanged and a bad entry gets the same
+    message."""
     row = tuple(data)
-    if not _INT.issuperset(map(type, row)):
+    if not _all_int(row):
         for x in row:
             _entry(x)
     return row
@@ -173,14 +180,23 @@ def as_vector(data: Sequence[int]) -> Vector:
 
 
 def as_matrix(data) -> Matrix:
-    """``data`` as a tuple of integer row tuples of one length.  Each row is
-    taken and checked in turn, with one type scan unless it holds an entry
-    that is not exactly an int, so the first row with a bad entry or that
-    is not iterable raises; unequal lengths are checked last."""
-    rows = tuple(map(_int_row, data))
+    """``data`` as a tuple of integer row tuples of one length.  The rows
+    are read once, and all their entries get one type scan.  Only when it
+    finds an entry that is not exactly an int, or when a row cannot be
+    read, are the rows read so far checked one by one, as ``as_vector``
+    checks a row.  So the first row with a bad entry or that is not
+    iterable raises; unequal lengths are checked last."""
+    rows = []
+    try:
+        # extend keeps the rows read before one that is not iterable
+        rows.extend(map(tuple, data))
+    finally:
+        if not _all_int(chain.from_iterable(rows)):
+            for row in rows:
+                _int_row(row)
     if len(set(map(len, rows))) > 1:
         raise LatticeError("matrix rows have unequal lengths")
-    return rows
+    return tuple(rows)
 
 
 def _exact_vector(data) -> tuple:
@@ -232,13 +248,32 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     nonzero a[i][k], each b[k] taken on its nonzero entries only.
 
     Equal to the textbook triple sum; an entry that no nonzero pair of
-    factors reaches is the integer 0.
+    factors reaches is the integer 0.  A row of ``a`` that is the unit
+    vector e_i, with an int 1, is row i of ``b`` as it is when that row
+    holds only ints, since the sum then gives the same entries.  So a
+    near-identity left factor costs only its other rows, and only the rows
+    of ``b`` that they reach are taken apart; a unit row of ``b`` is taken
+    apart without a scan.
     """
     if a and len(a[0]) != len(b):
         raise LatticeError("matrix dimensions do not match")
     width = len(b[0]) if b else 0
-    b_rows = _support(b)
-    return tuple(_combine(terms, b_rows, width) for terms in _support(a))
+    n = len(b)
+    unit = _identity_matrix(n)
+    b_rows = {}
+    out = []
+    for i, row in enumerate(a):
+        if i < n and row == unit[i] and type(row[i]) is int and _all_int(b[i]):
+            out.append(tuple(b[i]))
+            continue
+        terms = list(compress(enumerate(row), row))
+        for k, _ in terms:
+            if k not in b_rows:
+                r = b[k]
+                # the zeros that make r equal to e_k are all falsy
+                b_rows[k] = [(k, r[k])] if r == unit[k] else list(compress(enumerate(r), r))
+        out.append(_combine(terms, b_rows, width))
+    return tuple(out)
 
 
 def mat_vec(m: Matrix, v: Sequence) -> tuple:
@@ -810,7 +845,7 @@ class Isometry(_Record):
         object.__setattr__(self, "matrix", _isometry_matrix(self.ambient, self.matrix))
 
     def apply(self, v) -> Vector:
-        return mat_vec(self.matrix, as_vector(v))
+        return mat_vec(self.matrix, _of_length(as_vector(v), self.ambient.rank, "vector"))
 
     def __mul__(self, other):
         if not isinstance(other, Isometry):

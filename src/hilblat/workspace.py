@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import re
 
-from .core import _INT, Lattice, LatticeError, Matrix, Vector, _is_int, _Record
+from .core import Lattice, LatticeError, Matrix, Vector, _all_int, _is_int, _Record
 from .douady import (
     ExceptionalPair,
     douady_lattice,
@@ -92,7 +92,7 @@ def _vector(value, where: str) -> Vector:
     if not isinstance(value, list):
         raise WorkspaceError(f"{where}: expected a list of integers")
     # a list of JSON numbers needs no per-entry check
-    if _INT.issuperset(map(type, value)):
+    if _all_int(value):
         return tuple(value)
     return tuple(_int(x, where) for x in value)
 

@@ -214,6 +214,23 @@ def reference_exact_vector(data):
     return out
 
 
+def reference_mat_mul(a, b):
+    """The rule of the row-sparse product before it copied unit rows: each
+    entry is the sum, from the int 0, of the products a[i][k] * b[k][j]
+    whose two factors are nonzero; a test-only reference."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for k, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[k]):
+                    if y:
+                        acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
+
+
 def reference_support(m):
     """The comprehension that listed each row's nonzero (column, value)
     pairs before compress; a test-only reference."""

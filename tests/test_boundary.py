@@ -1,6 +1,6 @@
-"""Conversion of raw input at the boundary: the one type scan per row must
-accept and reject exactly what the old per-entry checks did, with the same
-values, exception types and messages."""
+"""Conversion of raw input at the boundary: the one type scan per matrix
+or vector must accept and reject exactly what the old per-entry checks
+did, with the same values, exception types and messages."""
 
 import enum
 
@@ -112,14 +112,16 @@ class TestSameAsPerEntryChecks:
         assert types(got) == types(want)
 
     @pytest.mark.parametrize(
-        "data, error, message",
+        "make, error, message",
         [
-            ([[1, "x"], 5], LatticeError, "integer entry expected, got 'x'"),
-            ([[1, 2], 5], TypeError, "'int' object is not iterable"),
-            ([[1, 2], [True, 0]], LatticeError, "integer entry expected, got True"),
-            ([[1, 2], [0]], LatticeError, "matrix rows have unequal lengths"),
-            ([[1], [1, 2.0]], LatticeError, "integer entry expected, got 2.0"),
-            ([[1], None], TypeError, "'NoneType' object is not iterable"),
+            (lambda: [[1, "x"], 5], LatticeError, "integer entry expected, got 'x'"),
+            (lambda: [[1, 2], 5], TypeError, "'int' object is not iterable"),
+            (lambda: [[1, 2], [True, 0]], LatticeError, "integer entry expected, got True"),
+            (lambda: [[1, 2], [0]], LatticeError, "matrix rows have unequal lengths"),
+            (lambda: [[1], [1, 2.0]], LatticeError, "integer entry expected, got 2.0"),
+            (lambda: [[1], None], TypeError, "'NoneType' object is not iterable"),
+            (lambda: [iter([1, 2]), 5], TypeError, "'int' object is not iterable"),
+            (lambda: [iter([1, "x"]), 5], LatticeError, "integer entry expected, got 'x'"),
         ],
         ids=[
             "bad-entry-before-non-iterable",
@@ -128,12 +130,15 @@ class TestSameAsPerEntryChecks:
             "ragged",
             "bad-entry-before-ragged",
             "none-row",
+            "iterator-row-then-non-iterable",
+            "bad-entry-in-iterator-row",
         ],
     )
-    def test_row_order_sets_the_error(self, data, error, message):
+    def test_row_order_sets_the_error(self, make, error, message):
+        # a fresh input for each call, as an iterator row is read only once
         for f in (core.as_matrix, reference_as_matrix):
             with pytest.raises(error) as exc:
-                f(data)
+                f(make())
             assert str(exc.value) == message
 
     def test_int_subclass_passes_unchanged(self):
@@ -179,6 +184,17 @@ class TestOneScanPerRow:
         assert calls == []
         assert workspace._vector([1, "-2", "7"], "v") == (1, -2, 7)
         assert calls == [1, "-2", "7"]
+
+
+class TestOneScanPerMatrix:
+    def test_an_all_int_matrix_gets_one_type_scan(self, monkeypatch):
+        scans = []
+        original = core._all_int
+        monkeypatch.setattr(core, "_all_int", lambda xs: scans.append(1) or original(xs))
+        gram = douady_lattice(2).full.gram
+        assert core.as_matrix(gram) == gram
+        assert core.as_matrix(iter(list(row) for row in gram)) == gram
+        assert scans == [1, 1]
 
 
 class TestBoundaryMessages:

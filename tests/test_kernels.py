@@ -1,6 +1,7 @@
 """Property tests of the sparse exact kernels against brute-force oracles.
 
-``mat_mul`` is compared with the textbook triple sum, ``isometry_violation``
+``mat_mul`` is compared with the textbook triple sum, and in the exact type
+of every entry with the sum of the nonzero products, ``isometry_violation``
 with a dense M^T . gram . M followed by a Bareiss determinant, the form's
 other uses (pairings, reflections, restricted Grams and complements) with
 dense textbook formulas, and every isometry the library builds without
@@ -12,6 +13,7 @@ import random
 import re
 import subprocess
 import sys
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from helpers import (
     random_norm_pm2_vector,
     random_reflection_product,
     reference_integer_kernel,
+    reference_mat_mul,
     reference_pairing,
     reference_reflection,
     reference_restricted_gram,
@@ -147,12 +150,79 @@ def known_isometry(L, rng):
     return mat_mul(m, diagonal)
 
 
+class Two(IntEnum):
+    TWO = 2
+
+
+zeros = st.sampled_from([0, 0, False, Fraction(0)])
+ones = st.sampled_from([1, 1, True, Fraction(1)])
+right_entries = st.one_of(
+    st.just(0), small, big, st.sampled_from([True, Two.TWO, Fraction(0)]), rational.filter(bool)
+)
+
+
+@st.composite
+def near_identity_pairs(draw):
+    """(a, b) where some rows of a, and of a square b, are unit vectors,
+    with a 1 that may be True or Fraction(1) and zeros that may be False
+    or Fraction(0); a may have more rows than b."""
+    n = draw(st.integers(0, 5))
+    width = draw(st.one_of(st.just(n), st.integers(0, 5)))
+
+    def unit_or(i, entry, length):
+        if i < length and draw(st.booleans()):
+            one = draw(ones)
+            return tuple(one if j == i else draw(zeros) for j in range(length))
+        return tuple(draw(entry) for _ in range(length))
+
+    a = tuple(unit_or(i, entries, n) for i in range(draw(st.integers(0, 6))))
+    b = tuple(unit_or(k, right_entries, width) for k in range(n))
+    return a, b
+
+
+def entry_types(m):
+    return [[type(x) for x in row] for row in m]
+
+
 class TestMatMul:
     @exact
     @given(product_pairs())
     def test_equals_textbook_sum(self, pair):
         a, b = pair
         assert mat_mul(a, b) == textbook_product(a, b)
+
+    @settings(exact, max_examples=300)
+    @given(near_identity_pairs())
+    def test_same_entries_and_types_as_the_sum_of_nonzero_products(self, pair):
+        # not the textbook sum, which also adds the zero products: for
+        # ((0,),) times ((Fraction(1, 2),),) it gives Fraction(0), mat_mul 0
+        a, b = pair
+        got, want = mat_mul(a, b), reference_mat_mul(a, b)
+        assert got == want
+        assert type(got) is tuple and all(type(row) is tuple for row in got)
+        assert entry_types(got) == entry_types(want)
+
+    def test_a_unit_row_copies_only_an_all_int_row(self):
+        a = ((1, 0), (0, 1))
+        b = ((Two.TWO, 0), (3, -4))
+        got = mat_mul(a, b)
+        assert got == b and entry_types(got) == [[int, int], [int, int]]
+        assert got[1] is b[1]
+        assert mat_mul(a, [[1, 2], [3, 4]]) == ((1, 2), (3, 4))
+
+    @settings(exact, max_examples=20)
+    @given(st.integers(0, 2**32))
+    def test_isometry_products_equal_the_dense_product(self, seed):
+        rng = random.Random(seed)
+        phi, psi = (Isometry(K3, random_reflection_product(K3, rng, max_length=3)) for _ in "ab")
+        factors = [[phi, psi]]
+        for D in (D2, D3):
+            raw = random_reflection_product(D.full, rng, max_length=3)
+            factors.append([natural_lift(D, phi), natural_lift(D, psi), Isometry(D.full, raw)])
+        for isometries in factors:
+            for f in isometries:
+                for g in isometries:
+                    assert (f * g).matrix == textbook_product(f.matrix, g.matrix)
 
     @exact
     @given(product_pairs(inner=0))

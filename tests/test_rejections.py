@@ -251,6 +251,9 @@ class TestLengths:
             (lambda: pairing(U, (1, 0), (1,)), "vector of length 1 inside Z^2"),
             (lambda: norm(U, (1, 0, 0)), "vector of length 3 inside Z^2"),
             (lambda: reflection_isometry(U, (1, 1, 0)), "vector of length 3 inside Z^2"),
+            (lambda: identity_isometry(U).apply((1, 0, 0)), "vector of length 3 inside Z^2"),
+            (lambda: identity_isometry(Lattice(())).apply((1, 2, 3)),
+             "vector of length 3 inside Z^0"),
             (lambda: ExceptionalPair(diagonal_lattice((1, -2)), (0, 0, 1)),
              "exceptional class of length 3 inside Z^2"),
             (lambda: iota(douady_lattice(2), (1,) * 5), "surface class of length 5 inside Z^22"),
@@ -261,7 +264,7 @@ class TestLengths:
              "class of length 3 inside Z^2"),
         ],
         ids=["rows", "sublattice", "contains", "pairing-x", "pairing-y", "norm", "reflection",
-             "exceptional-pair", "iota", "psi_first_chern", "kahler_candidate_check"],
+             "apply", "apply-rank-0", "exceptional-pair", "iota", "psi_first_chern", "kahler_candidate_check"],
     )
     def test_message(self, call, message):
         with pytest.raises(LatticeError) as exc:
