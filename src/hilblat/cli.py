@@ -125,7 +125,9 @@ def _group_body(ws: Workspace, name: str) -> dict:
             rep.coinvariant, rep.coinvariant_gram_det, rep.coinvariant_nondegenerate
         ),
         "checks": {
-            "intersection_trivial": rep.intersection_trivial,
+            # L^G meets L_G in the radical of q on L^G, so this is the
+            # same fact; the key stays so that the report does not change
+            "intersection_trivial": rep.invariant_nondegenerate,
             "invariant_nondegenerate": rep.invariant_nondegenerate,
             "coinvariant_nondegenerate": rep.coinvariant_nondegenerate,
         },

@@ -34,14 +34,12 @@ __all__ = [
     "identity_isometry",
     "identity_matrix",
     "integer_kernel",
-    "is_isometry",
     "isometry_violation",
     "mat_mul",
     "mat_vec",
     "norm",
     "orthogonal_complement",
     "pairing",
-    "rank_of",
     "rational_span_leq",
     "reflection_isometry",
     "rescale",
@@ -163,7 +161,7 @@ def _all_int(entries) -> bool:
     return types.count(int) == len(types)
 
 
-def _int_row(data) -> Vector:
+def as_vector(data: Sequence[int]) -> Vector:
     """``data`` as an integer tuple.  One type scan accepts a row of exact
     ints; only a row with some other entry is checked entry by entry, so
     an int subclass still passes unchanged and a bad entry gets the same
@@ -173,10 +171,6 @@ def _int_row(data) -> Vector:
         for x in row:
             _entry(x)
     return row
-
-
-def as_vector(data: Sequence[int]) -> Vector:
-    return _int_row(data)
 
 
 def as_matrix(data) -> Matrix:
@@ -193,7 +187,7 @@ def as_matrix(data) -> Matrix:
     finally:
         if not _all_int(chain.from_iterable(rows)):
             for row in rows:
-                _int_row(row)
+                as_vector(row)
     if len(set(map(len, rows))) > 1:
         raise LatticeError("matrix rows have unequal lengths")
     return tuple(rows)
@@ -397,7 +391,7 @@ def _reduce(row: list[int], c: int, pivots: dict, cols: list[int]) -> list[int]:
 def _hnf(rows) -> tuple[Vector, ...]:
     """Row Hermite normal form of integer rows of one common width.
 
-    The single echelon routine behind ``hermite_basis``, ``rank_of``,
+    The single echelon routine behind ``hermite_basis``,
     ``integer_kernel`` and ``saturation_basis``; membership (``_sift``)
     runs its reduction step, ``_reduce``, against a canonical basis.  Rows
     are inserted one at a time (Kannan-Bachem order).  Where a row meets a
@@ -523,10 +517,6 @@ def hermite_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[Vector,
     spans yield bit-equal results, so bases compare directly.
     """
     return _hnf(_rows(vectors, width))
-
-
-def rank_of(vectors: Iterable[Sequence[int]], width: int) -> int:
-    return len(hermite_basis(vectors, width))
 
 
 def integer_kernel(matrix, width: int | None = None) -> tuple[Vector, ...]:
@@ -819,11 +809,6 @@ def _violation(L: Lattice, m: Matrix) -> str | None:
 
 def _pair_message(i: int, j: int, got: int, expected: int) -> str:
     return f"q(f(b{i}), f(b{j})) = {got}, expected q(b{i}, b{j}) = {expected}"
-
-
-def is_isometry(L: Lattice, matrix) -> bool:
-    """True iff M^T . gram . M = gram and |det M| = 1."""
-    return isometry_violation(L, matrix) is None
 
 
 class Isometry(_Record):

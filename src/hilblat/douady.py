@@ -47,11 +47,9 @@ __all__ = [
     "KahlerCandidateReport",
     "PullbackDecomposition",
     "beauville_fixture",
-    "delta_class",
     "douady_lattice",
     "e8_lattice",
     "e8_minus",
-    "e_class",
     "extract_surface_isometry",
     "hyperbolic_plane",
     "index_invariant",
@@ -167,21 +165,14 @@ class DouadyLattice(ExceptionalPair):
         return self.lattice
 
     @property
-    def rank(self) -> int:
-        return self.lattice.rank
-
-    @property
-    def delta_index(self) -> int:
-        """Basis position of the distinguished class delta."""
-        return K3_RANK
-
-    @property
     def delta(self) -> Vector:
-        return _identity_matrix(self.rank)[K3_RANK]
+        """Coordinates of the primitive class delta = e / 2, the last basis
+        vector (position K3_RANK)."""
+        return _identity_matrix(self.lattice.rank)[K3_RANK]
 
     def k3_sublattice(self) -> Sublattice:
         # the first K3_RANK unit vectors are already a canonical Hermite basis
-        return Sublattice._trusted(self.lattice, _identity_matrix(self.rank)[:K3_RANK])
+        return Sublattice._trusted(self.lattice, _identity_matrix(self.lattice.rank)[:K3_RANK])
 
 
 def douady_lattice(n: int) -> DouadyLattice:
@@ -208,18 +199,6 @@ def iota(D: ExceptionalPair, v) -> Vector:
     inside Z^22"."""
     amb, _ = _target(D)
     return _of_length(as_vector(v), amb.rank - 1, "surface class") + (0,)
-
-
-def e_class(D: ExceptionalPair) -> Vector:
-    """Coordinates of the exceptional divisor class e."""
-    return _target(D)[1]
-
-
-def delta_class(D: DouadyLattice) -> Vector:
-    """Coordinates of the primitive class delta = e / 2."""
-    if not isinstance(D, DouadyLattice):
-        raise LatticeError("delta is integral only on the full Douady lattice")
-    return D.delta
 
 
 def _image_of_e(D: ExceptionalPair, f) -> tuple[Matrix, Vector, Vector]:

@@ -43,14 +43,12 @@ __all__ = [
     "PairReport",
     "SymplecticActionReport",
     "acts_trivially_on",
-    "classify_ns_type",
     "closure",
     "coinvariant_sublattice",
     "invariant_sublattice",
     "is_negative_definite",
     "ns_classification",
     "symplectic_action_report",
-    "transcendental_sublattice",
     "verify_pair_properties",
 ]
 
@@ -293,12 +291,13 @@ class PairReport(_Record):
 
     invariant: Sublattice
     coinvariant: Sublattice
-    intersection_trivial: bool
     invariant_gram_det: int
     coinvariant_gram_det: int
 
     @property
     def invariant_nondegenerate(self) -> bool:
+        """Whether the form restricted to L^G is nondegenerate; equally,
+        whether L^G meets L_G only in zero."""
         return self.invariant_gram_det != 0
 
     @property
@@ -307,11 +306,7 @@ class PairReport(_Record):
 
     @property
     def all_pass(self) -> bool:
-        return (
-            self.intersection_trivial
-            and self.invariant_nondegenerate
-            and self.coinvariant_nondegenerate
-        )
+        return self.invariant_nondegenerate and self.coinvariant_nondegenerate
 
 
 def verify_pair_properties(G: IsometryGroup) -> PairReport:
@@ -321,21 +316,15 @@ def verify_pair_properties(G: IsometryGroup) -> PairReport:
     All three hold for any finite isometry group of a nondegenerate
     lattice; rank-0 pieces pass vacuously (empty determinant is 1).
 
-    The intersection is read off the invariant Gram determinant: as the
-    coinvariant sublattice is (L^G)-perp, L^G meets it in the radical of
-    the form restricted to L^G, which is zero exactly when that form's
-    determinant is nonzero.
+    The first two are one fact, reported once as
+    ``invariant_nondegenerate``: as the coinvariant sublattice is
+    (L^G)-perp, L^G meets it in the radical of the form restricted to
+    L^G, which is zero exactly when that form's determinant is nonzero.
     """
     if discriminant(G.ambient) == 0:
         raise LatticeError("ambient Gram matrix must be nondegenerate")
     inv, co = G._invariant, G._coinvariant
-    inv_det = inv._form[1]
-    return PairReport(inv, co, inv_det != 0, inv_det, co._form[1])
-
-
-def transcendental_sublattice(L: Lattice, ns: Sublattice) -> Sublattice:
-    """Orthogonal complement of a Neron-Severi block; always saturated."""
-    return orthogonal_complement(L, ns)
+    return PairReport(inv, co, inv._form[1], co._form[1])
 
 
 class NSType(Enum):
@@ -393,11 +382,6 @@ def ns_classification(L: Lattice, ns: Sublattice) -> NSClassification:
     )
 
 
-def classify_ns_type(L: Lattice, ns: Sublattice) -> NSType:
-    """Hyperbolic, Parabolic or Elliptic, per the restricted-form signature."""
-    return ns_classification(L, ns).ns_type
-
-
 def _moved_images(G: IsometryGroup, s: Sublattice, unstable: str) -> list[Vector]:
     """The images g(b) that differ from b, over the generators g and the
     basis vectors b of s; raises with the message ``unstable`` unless each
@@ -440,25 +424,22 @@ class SymplecticActionReport(_Record):
     action, not that a theorem failed; whether a group really is
     symplectic is analytic and not decidable here.  The definiteness field
     is None in the hyperbolic case, where no claim is made.
+    ``fixes_transcendental_pointwise`` also answers whether the
+    transcendental block lies in the fixed sublattice and whether the
+    coinvariant sublattice lies in the Neron-Severi block: the three are
+    one fact (see ``symplectic_action_report``).
     """
 
     ns_type: NSType
     fixes_transcendental_pointwise: bool
-    transcendental_in_invariant: bool
-    coinvariant_in_ns: bool
     coinvariant_negative_definite: Optional[bool]
     coinvariant_signature: SignatureTriple
 
     @property
     def all_verified(self) -> bool:
-        checks = [
-            self.fixes_transcendental_pointwise,
-            self.transcendental_in_invariant,
-            self.coinvariant_in_ns,
-        ]
-        if self.coinvariant_negative_definite is not None:
-            checks.append(self.coinvariant_negative_definite)
-        return all(checks)
+        # None, in the hyperbolic case, makes no claim
+        negdef = self.coinvariant_negative_definite
+        return self.fixes_transcendental_pointwise and negdef is not False
 
 
 def symplectic_action_report(
@@ -468,28 +449,27 @@ def symplectic_action_report(
 
     Given a group acting on the ambient lattice and a Neron-Severi block
     stable under it, reports whether (1) the transcendental block is fixed
-    pointwise, (2) it sits inside the fixed sublattice while the
-    coinvariant sublattice sits inside the Neron-Severi block, and (3) in
-    the parabolic and elliptic cases, whether the coinvariant sublattice is
-    negative definite.  The coinvariant signature is always reported.
+    pointwise, which is the same as (2) it sitting inside the fixed
+    sublattice and as the coinvariant sublattice sitting inside the
+    Neron-Severi block, and (3) in the parabolic and elliptic cases,
+    whether the coinvariant sublattice is negative definite.  The
+    coinvariant signature is always reported.
 
-    The three containments of (1) and (2) are one fact, computed once as
-    whether the rational span of the transcendental block T = NS-perp
-    lies in that of L^G.  G fixes T pointwise exactly when T lies in L^G,
-    and as L^G is saturated that is a rational containment.  On the
-    nondegenerate ambient that the classification requires, T lies in
-    L^G exactly when (L^G)-perp = L_G lies in T-perp, whose rational span
-    is that of NS.  T is G-stable because NS is, which the stability
-    check below has verified.
+    The three containments of (1) and (2) are one fact, computed and
+    reported once as whether the rational span of the transcendental
+    block T = NS-perp lies in that of L^G.  G fixes T pointwise exactly
+    when T lies in L^G, and as L^G is saturated that is a rational
+    containment.  On the nondegenerate ambient that the classification
+    requires, T lies in L^G exactly when (L^G)-perp = L_G lies in T-perp,
+    whose rational span is that of NS.  T is G-stable because NS is,
+    which the stability check below has verified.
     """
     amb = _plain_lattice(target)
     _check_on(amb, G, "group")
     _check_on(amb, ns, "sublattice")
     _moved_images(G, ns, "the Neron-Severi block is not stable under the group")
     cls = ns_classification(amb, ns)
-    tr = cls.transcendental
     co = G._coinvariant
-    fixed = rational_span_leq(tr, G._invariant)
     negdef = (
         is_negative_definite(co)
         if cls.ns_type in (NSType.PARABOLIC, NSType.ELLIPTIC)
@@ -497,9 +477,7 @@ def symplectic_action_report(
     )
     return SymplecticActionReport(
         ns_type=cls.ns_type,
-        fixes_transcendental_pointwise=fixed,
-        transcendental_in_invariant=fixed,
-        coinvariant_in_ns=fixed,
+        fixes_transcendental_pointwise=rational_span_leq(cls.transcendental, G._invariant),
         coinvariant_negative_definite=negdef,
         coinvariant_signature=sub_signature(co),
     )

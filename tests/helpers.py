@@ -8,10 +8,10 @@ from hilblat import (
     SignatureTriple,
     Sublattice,
     det,
+    hermite_basis,
     identity_matrix,
     mat_mul,
     norm,
-    rank_of,
     reflection_isometry,
 )
 
@@ -58,7 +58,7 @@ def random_sublattice(L, rng, allow_unsaturated=True):
     k = rng.randint(1, n)
     while True:
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
-        if rank_of(rows, n) != k:
+        if len(hermite_basis(rows, n)) != k:
             continue
         if allow_unsaturated and rng.randint(0, 1):
             i = rng.randrange(k)

@@ -746,6 +746,17 @@ class TestGoldenOutputs:
         golden = (DATA / "report_golden.json").read_text(encoding="utf-8")
         assert got == {"exit": 0, "stdout": golden, "stderr": ""}
 
+    def test_intersection_check_is_invariant_nondegeneracy(self, capsys):
+        # L^G meets L_G in the radical of q on L^G, so the report's
+        # "intersection trivial" line is the invariant block's nondegeneracy
+        got = _run(capsys, ["report", "--workspace", str(DATA / "workspace.json"), "--json"])
+        groups = [item for item in json.loads(got["stdout"])["items"] if item["kind"] == "group"]
+        assert len(groups) == 2
+        for item in groups:
+            checks = item["checks"]
+            assert checks["intersection_trivial"] is item["invariant"]["nondegenerate"]
+            assert checks["intersection_trivial"] is checks["invariant_nondegenerate"]
+
     def test_douady_workspace_golden(self, capsys):
         # a natural, a non-natural and a non-isometric matrix on DOUADY(2),
         # so the q(delta) and f(delta) lines are pinned too

@@ -14,22 +14,21 @@ from helpers import (
     reference_index_norm_solutions,
 )
 from hilblat import (
+    K3_RANK,
     DouadyLattice,
     ExceptionalPair,
     LatticeError,
     beauville_fixture,
-    delta_class,
     diagonal_lattice,
     discriminant,
     douady_lattice,
-    e_class,
     extract_surface_isometry,
     identity_matrix,
     index_invariant,
     index_norm_solutions,
     iota,
-    is_isometry,
     is_natural_on_lattice,
+    isometry_violation,
     k3_lattice,
     kahler_candidate_check,
     mat_mul,
@@ -121,9 +120,9 @@ class TestDouadyLattice:
         assert comp.basis == (D2.delta,)
 
     def test_delta_sits_in_the_last_coordinate(self):
-        assert D2.delta_index == 22
-        assert D2.delta[D2.delta_index] == 1
-        assert all(x == 0 for x in D2.delta[: D2.delta_index])
+        assert K3_RANK == 22
+        assert D2.delta[K3_RANK] == 1
+        assert all(x == 0 for x in D2.delta[:K3_RANK])
 
 
 class TestIota:
@@ -150,14 +149,14 @@ class TestIota:
 
 class TestEClass:
     def test_e_is_twice_delta(self):
-        e = e_class(D2)
-        d = delta_class(D2)
+        e = D2.e
+        d = D2.delta
         assert tuple(2 * x for x in d) == e
 
     def test_norms(self):
-        assert norm(D2.full, e_class(D2)) == -8
+        assert norm(D2.full, D2.e) == -8
         D3 = douady_lattice(3)
-        assert norm(D3.full, e_class(D3)) == -16
+        assert norm(D3.full, D3.e) == -16
 
 
 class TestIndexInvariant:
@@ -172,7 +171,7 @@ class TestIndexInvariant:
 
     def test_quartic_involution(self):
         pair, involution = beauville_fixture()
-        assert is_isometry(pair.lattice, involution)
+        assert isometry_violation(pair.lattice, involution) is None
         assert index_invariant(pair, involution) == -3
 
     def test_non_isometry_rejected(self):
@@ -306,7 +305,7 @@ class TestExtractSurfaceIsometry:
 class TestPsiFirstChern:
     def test_zero_class(self):
         out = psi_first_chern(D2, (0,) * 22, k=1)
-        assert out == tuple(-x for x in e_class(D2))
+        assert out == tuple(-x for x in D2.e)
         assert norm(D2.full, out) == -8
 
     def test_degree_four_class(self):
@@ -427,7 +426,7 @@ class TestKahlerCandidate:
         assert not report.all_conditions_hold
 
     def test_exceptional_class_rejected(self):
-        report = kahler_candidate_check(D2, e_class(D2))
+        report = kahler_candidate_check(D2, D2.e)
         assert not report.positive_norm
         assert not report.all_conditions_hold
 

@@ -63,7 +63,7 @@ class TestDouadyIsAPair:
         D = douady_lattice(3)
         assert isinstance(D, ExceptionalPair)
         assert D.lattice is D.full and D.e == (0,) * K3_RANK + (2,)
-        assert D.surface_block == K3 and D.rank == 23 and D.delta_index == K3_RANK
+        assert D.surface_block == K3 and D.lattice.rank == 23 and D.delta[K3_RANK] == 1
         assert D == DouadyLattice(3) and hash(D) == hash(DouadyLattice(3))
         assert D != douady_lattice(2) and D != ExceptionalPair(D.full, D.e)
 

@@ -20,7 +20,6 @@ from hilblat import (
     NSType,
     Sublattice,
     acts_trivially_on,
-    classify_ns_type,
     closure,
     coinvariant_sublattice,
     diagonal_lattice,
@@ -34,8 +33,8 @@ from hilblat import (
     identity_matrix,
     integer_kernel,
     invariant_sublattice,
-    is_isometry,
     is_negative_definite,
+    isometry_violation,
     k3_lattice,
     mat_mul,
     mat_vec,
@@ -46,7 +45,6 @@ from hilblat import (
     rational_span_leq,
     reflection_isometry,
     symplectic_action_report,
-    transcendental_sublattice,
     verify_pair_properties,
 )
 
@@ -74,7 +72,7 @@ class TestClosure:
         rng = random.Random(69)
         for _ in range(5):
             G, L = _random_isometry_group(rng)
-            assert all(is_isometry(L, g) for g in G.elements)
+            assert all(isometry_violation(L, g) is None for g in G.elements)
 
     def test_commuting_swaps(self):
         UU = direct_sum(U, U)
@@ -590,32 +588,32 @@ class TestVerifyPairProperties:
 
 class TestTranscendental:
     def test_empty_picard_block(self):
-        assert transcendental_sublattice(U, Sublattice(U, [])) == full_sublattice(U)
+        assert orthogonal_complement(U, Sublattice(U, [])) == full_sublattice(U)
 
     def test_delta_complement_is_embedded_k3(self):
         D = douady_lattice(2)
-        tr = transcendental_sublattice(D.full, Sublattice(D.full, [D.delta]))
+        tr = orthogonal_complement(D.full, Sublattice(D.full, [D.delta]))
         expected = tuple(D.full.basis_vector(i) for i in range(22))
         assert tr.basis == expected
 
     def test_diagonal_example(self):
         L = diagonal_lattice((4, -2, 2))
         ns = Sublattice(L, [(1, 0, 0), (0, 1, 0)])
-        assert transcendental_sublattice(L, ns).basis == ((0, 0, 1),)
+        assert orthogonal_complement(L, ns).basis == ((0, 0, 1),)
 
 
 class TestClassification:
     def test_hyperbolic_fixture(self):
         L = diagonal_lattice((4, -2))
-        assert classify_ns_type(L, full_sublattice(L)) is NSType.HYPERBOLIC
+        assert ns_classification(L, full_sublattice(L)).ns_type is NSType.HYPERBOLIC
 
     def test_parabolic_fixture(self):
         # restricted Gram of the isotropic line is [[0]]
-        assert classify_ns_type(U, Sublattice(U, [(1, 0)])) is NSType.PARABOLIC
+        assert ns_classification(U, Sublattice(U, [(1, 0)])).ns_type is NSType.PARABOLIC
 
     def test_elliptic_fixture(self):
         L = diagonal_lattice((-2,))
-        assert classify_ns_type(L, full_sublattice(L)) is NSType.ELLIPTIC
+        assert ns_classification(L, full_sublattice(L)).ns_type is NSType.ELLIPTIC
 
     def test_companion_patterns_in_rank_23(self):
         D = douady_lattice(2)
@@ -667,12 +665,12 @@ class TestClassification:
     def test_pattern_mismatch_is_an_error(self):
         L = diagonal_lattice((1, 1))
         with pytest.raises(LatticeError):
-            classify_ns_type(L, full_sublattice(L))
+            ns_classification(L, full_sublattice(L))
 
     def test_degenerate_ambient_rejected(self):
         L = Lattice.from_gram([[0]])
         with pytest.raises(LatticeError):
-            classify_ns_type(L, full_sublattice(L))
+            ns_classification(L, full_sublattice(L))
 
     def test_hyperbolic_iff_positive_vector_and_nondegenerate(self):
         rng = random.Random(71)
@@ -682,7 +680,7 @@ class TestClassification:
             )
             ns = full_sublattice(L)
             try:
-                kind = classify_ns_type(L, ns)
+                kind = ns_classification(L, ns).ns_type
             except LatticeError:
                 sig = tuple(x for x in (L.gram[i][i] for i in range(L.rank)))
                 assert sum(1 for x in sig if x > 0) > 1
@@ -714,7 +712,7 @@ class TestActsTrivially:
 class TestSymplecticActionLaw:
     """On K3, L^G is saturated and a stable NS has a stable complement T, so
     G fixes T pointwise iff T lies in L^G iff L_G = (L^G)-perp lies in NS:
-    the report's three conclusions always agree."""
+    the report's one field answers all three."""
 
     def test_three_conclusions_agree(self):
         rng = random.Random(23)
@@ -726,11 +724,15 @@ class TestSymplecticActionLaw:
             rows = rng.sample(invariant_sublattice(G).basis, rng.randint(1, 4))
             rows += rng.sample(roots, rng.randint(0, len(roots)))
             try:
-                rep = symplectic_action_report(K3, G, Sublattice(K3, rows))
+                ns = Sublattice(K3, rows)
+                rep = symplectic_action_report(K3, G, ns)
             except LatticeError:
                 continue  # an unstable block, or a signature of no Picard block
             value = rep.fixes_transcendental_pointwise
-            assert rep.transcendental_in_invariant == rep.coinvariant_in_ns == value
+            tr = orthogonal_complement(K3, ns)
+            assert acts_trivially_on(G, tr) == value
+            assert rational_span_leq(tr, invariant_sublattice(G)) == value
+            assert rational_span_leq(coinvariant_sublattice(G), ns) == value
             seen[value] += 1
         assert seen[True] and seen[False]
 
@@ -764,7 +766,7 @@ class TestStabilityChecks:
             assert (str(exc) == UNSTABLE_NS) == (not stable)
             return
         assert stable
-        tr = transcendental_sublattice(L, s)
+        tr = orthogonal_complement(L, s)
         assert rep.fixes_transcendental_pointwise == all(
             mat_vec(g, v) == v for g in G.generators for v in tr.basis
         )
@@ -775,7 +777,7 @@ class TestStabilityChecks:
         G = closure(D.full, gens)  # W(A2) on two roots of E8(-1)
         ns = Sublattice(D.full, [_e(6) + (0,), _e(8) + (0,), D.delta])
         inv = invariant_sublattice(G)
-        tr = transcendental_sublattice(D.full, ns)
+        tr = orthogonal_complement(D.full, ns)
         hnf_calls, sift_calls, contains_calls = [], [], []
         real_hnf, real_sift = core._hnf, groups._sift
         real_contains = core.Sublattice.contains
@@ -997,8 +999,9 @@ class TestCoinvariantFromImages:
 
 
 class TestFactsReadOnce:
-    """verify_pair_properties reads intersection_trivial off det(q|L^G), and
-    symplectic_action_report computes its three containment fields as one."""
+    """verify_pair_properties reports "L^G meets L_G only in zero" as
+    invariant_nondegenerate, read off det(q|L^G), and
+    symplectic_action_report reports its three containments as one field."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(st.integers(0, 2**32), st.sampled_from(["random", "pool", "weyl"]))
@@ -1007,7 +1010,7 @@ class TestFactsReadOnce:
         rep = verify_pair_properties(G)
         inv, co = rep.invariant, rep.coinvariant
         rank = len(core._hnf(inv.basis + co.basis))
-        assert rep.intersection_trivial == (rank == inv.rank + co.rank)
+        assert rep.invariant_nondegenerate == (rank == inv.rank + co.rank)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(st.integers(0, 2**32))
@@ -1042,11 +1045,11 @@ class TestFactsReadOnce:
             rep = symplectic_action_report(L, G, ns)
         except LatticeError:
             return  # a stable block may match no Picard-block pattern
-        tr = transcendental_sublattice(L, ns)
+        tr = orthogonal_complement(L, ns)
         inv, co = invariant_sublattice(G), coinvariant_sublattice(G)
         assert rep.fixes_transcendental_pointwise == acts_trivially_on(G, tr)
-        assert rep.transcendental_in_invariant == rational_span_leq(tr, inv)
-        assert rep.coinvariant_in_ns == rational_span_leq(co, ns)
+        assert rep.fixes_transcendental_pointwise == rational_span_leq(tr, inv)
+        assert rep.fixes_transcendental_pointwise == rational_span_leq(co, ns)
 
     def test_containment_fields_take_both_values(self):
         D = douady_lattice(2)
@@ -1056,12 +1059,7 @@ class TestFactsReadOnce:
         outside = Sublattice(D.full, [D.delta])
         for ns, value in ((inside, True), (outside, False)):
             rep = symplectic_action_report(D, G, ns)
-            fields = (
-                rep.fixes_transcendental_pointwise,
-                rep.transcendental_in_invariant,
-                rep.coinvariant_in_ns,
-            )
-            assert fields == (value,) * 3
+            assert rep.fixes_transcendental_pointwise is value
 
 
 class TestNegativeDefinite:
@@ -1101,8 +1099,6 @@ class TestSymplecticActionReport:
         rep = symplectic_action_report(D, G, ns)
         assert rep.ns_type is NSType.ELLIPTIC
         assert rep.fixes_transcendental_pointwise
-        assert rep.transcendental_in_invariant
-        assert rep.coinvariant_in_ns
         assert rep.coinvariant_negative_definite
         assert rep.all_verified
 

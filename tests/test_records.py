@@ -47,9 +47,8 @@ RECORDS = [
     ),
     (
         PairReport,
-        (LINE, ANTILINE, True, 2, -2),
-        ("invariant", "coinvariant", "intersection_trivial",
-         "invariant_gram_det", "coinvariant_gram_det"),
+        (LINE, ANTILINE, 2, -2),
+        ("invariant", "coinvariant", "invariant_gram_det", "coinvariant_gram_det"),
     ),
     (
         NSClassification,
@@ -60,9 +59,9 @@ RECORDS = [
     ),
     (
         SymplecticActionReport,
-        (NSType.ELLIPTIC, True, True, False, None, SignatureTriple(0, 0, 2)),
-        ("ns_type", "fixes_transcendental_pointwise", "transcendental_in_invariant",
-         "coinvariant_in_ns", "coinvariant_negative_definite", "coinvariant_signature"),
+        (NSType.ELLIPTIC, True, None, SignatureTriple(0, 0, 2)),
+        ("ns_type", "fixes_transcendental_pointwise", "coinvariant_negative_definite",
+         "coinvariant_signature"),
     ),
     (NamedVector, ("U", (1, 0)), ("lattice", "coords")),
     (NamedSublattice, ("U", ((1, 0),)), ("lattice", "columns")),

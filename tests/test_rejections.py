@@ -17,10 +17,8 @@ from hilblat import (
     Sublattice,
     acts_trivially_on,
     closure,
-    delta_class,
     diagonal_lattice,
     douady_lattice,
-    e_class,
     full_sublattice,
     hermite_basis,
     hyperbolic_plane,
@@ -36,7 +34,6 @@ from hilblat import (
     orthogonal_complement,
     pairing,
     psi_first_chern,
-    rank_of,
     rational_span_leq,
     reflection_isometry,
     rescale,
@@ -172,16 +169,15 @@ class TestUnreachedRejections:
         assert str(exc.value) == message
 
     def test_plain_lattice_is_no_target(self):
-        for call in (lambda: e_class(U), lambda: iota(U, (1,))):
+        for call in (lambda: kahler_candidate_check(U, (1, 0)), lambda: iota(U, (1,))):
             with pytest.raises(LatticeError) as exc:
                 call()
             assert str(exc.value) == "expected a Douady lattice or an exceptional pair"
 
     def test_douady_only(self):
         pair = ExceptionalPair(diagonal_lattice((1, -2)), (0, 1))
-        with pytest.raises(LatticeError) as exc:
-            delta_class(pair)
-        assert str(exc.value) == "delta is integral only on the full Douady lattice"
+        # delta = e / 2 is a class of the Douady lattice only
+        assert not hasattr(pair, "delta") and douady_lattice(2).delta[-1] == 1
         with pytest.raises(LatticeError) as exc:
             psi_first_chern(pair, (1,))
         assert str(exc.value) == "this Chern-class formula needs the full Douady lattice"
@@ -199,12 +195,11 @@ class TestWidth:
         "call",
         [
             lambda w: hermite_basis([(1, 2)], w),
-            lambda w: rank_of([(3,)], w),
             lambda w: saturation_basis([(2, 4)], w),
             # checked before the cache, so that True is not taken for 1
             identity_matrix,
         ],
-        ids=["hermite_basis", "rank_of", "saturation_basis", "identity_matrix"],
+        ids=["hermite_basis", "saturation_basis", "identity_matrix"],
     )
     def test_span_functions(self, call, width):
         with pytest.raises(LatticeError) as exc:
@@ -232,7 +227,7 @@ class TestWidth:
         assert integer_kernel((), 0) == ()
         assert integer_kernel((), 1) == ((1,),)
         assert integer_kernel(((1, 2),)) == integer_kernel(((1, 2),), 2) == ((2, -1),)
-        assert rank_of([], 0) == 0
+        assert hermite_basis([], 0) == ()
         assert hermite_basis([(1, 2)], 2) == ((1, 2),)
         assert saturation_basis([(2, 4)], 2) == ((1, 2),)
 

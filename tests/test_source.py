@@ -1,6 +1,7 @@
 """Static checks on the library's source files."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -62,6 +63,22 @@ def test_unused_import_is_found():
     source = "from math import gcd, prod\nimport os.path\n__all__ = ['prod']\n"
     assert unused_imports(source) == ["gcd (line 1)", "os (line 2)"]
     assert unused_imports(source + "os.sep\ngcd(1, 2)\n") == []
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines():
+    path = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    source = (
+        '"""Module\ndocstring."""\n\n'
+        "def f(x):  # a comment\n"
+        '    """One line."""\n'
+        "    # a comment line\n\n"
+        "    return (x,\n"
+        '            """not a docstring""")\n'
+    )
+    assert tool.code_lines(source) == 3
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
