@@ -348,9 +348,18 @@ class KahlerCandidateReport(_Record):
     q_total: Fraction
     q_against_e: Fraction
     q_surface_part: Fraction
-    positive_norm: bool
-    positive_against_e: bool
-    surface_part_positive: bool
+
+    @property
+    def positive_norm(self) -> bool:
+        return self.q_total > 0
+
+    @property
+    def positive_against_e(self) -> bool:
+        return self.q_against_e > 0
+
+    @property
+    def surface_part_positive(self) -> bool:
+        return self.q_surface_part > 0
 
     @property
     def all_conditions_hold(self) -> bool:
@@ -374,18 +383,11 @@ def kahler_candidate_check(D: ExceptionalPair, omega) -> KahlerCandidateReport:
     vec = _of_length(_exact_vector(omega), amb.rank, "class")
     lam = Fraction(vec[-1], e[-1])
     omega0 = vec[:-1]
-    q_total = Fraction(pairing(amb, vec, vec))
-    q_e = Fraction(pairing(amb, vec, e))
-    block = D.surface_block
-    q_surface = Fraction(pairing(block, omega0, omega0))
     return KahlerCandidateReport(
         e_coefficient=lam,
-        q_total=q_total,
-        q_against_e=q_e,
-        q_surface_part=q_surface,
-        positive_norm=q_total > 0,
-        positive_against_e=q_e > 0,
-        surface_part_positive=q_surface > 0,
+        q_total=Fraction(pairing(amb, vec, vec)),
+        q_against_e=Fraction(pairing(amb, vec, e)),
+        q_surface_part=Fraction(pairing(D.surface_block, omega0, omega0)),
     )
 
 

@@ -287,7 +287,12 @@ def coinvariant_sublattice(G: IsometryGroup) -> Sublattice:
 
 
 class PairReport(_Record):
-    """Checks on the fixed sublattice and its orthogonal complement."""
+    """Checks on the fixed sublattice and its orthogonal complement.
+
+    The two determinants are those of the restricted Gram matrices; on a
+    unimodular ambient one of them is derived from the other (see
+    ``verify_pair_properties``).
+    """
 
     invariant: Sublattice
     coinvariant: Sublattice
@@ -320,11 +325,28 @@ def verify_pair_properties(G: IsometryGroup) -> PairReport:
     ``invariant_nondegenerate``: as the coinvariant sublattice is
     (L^G)-perp, L^G meets it in the radical of the form restricted to
     L^G, which is zero exactly when that form's determinant is nonzero.
+
+    Both restricted forms are eliminated, except on a unimodular ambient
+    L, where only the lower-rank piece S of the pair (L^G, L_G) is; the
+    other is S-perp.  S is saturated, and for a primitive S of a
+    unimodular lattice |det S| = |det S-perp| (Nikulin, "Integral
+    symmetric bilinear forms", 1979, 1.6).  The negative index of S-perp
+    is neg = neg(L) - neg(S) - zero(S), so det S-perp is
+    (-1)^neg |det S|: a nondegenerate form's determinant has the sign
+    (-1)^neg, and when S is degenerate S-perp shares its radical and
+    both determinants are 0.
     """
-    if discriminant(G.ambient) == 0:
+    L = G.ambient
+    d = discriminant(L)
+    if d == 0:
         raise LatticeError("ambient Gram matrix must be nondegenerate")
     inv, co = G._invariant, G._coinvariant
-    return PairReport(inv, co, inv._form[1], co._form[1])
+    if abs(d) != 1:
+        return PairReport(inv, co, inv._form[1], co._form[1])
+    s_is_co = co.rank <= inv.rank
+    (_, zero, neg), det_s = (co if s_is_co else inv)._form
+    det_perp = (-1) ** (L._form[0].neg - neg - zero) * abs(det_s)
+    return PairReport(inv, co, *((det_perp, det_s) if s_is_co else (det_s, det_perp)))
 
 
 class NSType(Enum):
@@ -340,19 +362,21 @@ class NSClassification(_Record):
     ns_signature: SignatureTriple
     tr_signature: SignatureTriple
     expected_tr_signature: tuple[int, int, int]
-    companion_ok: bool
     transcendental: Sublattice
 
+    @property
+    def companion_ok(self) -> bool:
+        return tuple(self.tr_signature) == self.expected_tr_signature
 
-def ns_classification(L: Lattice, ns: Sublattice) -> NSClassification:
-    """Classify a Neron-Severi block by the signature of the restricted form.
 
-    Also computes the orthogonal complement and compares its signature with
-    the companion pattern expected in an ambient lattice of signature
-    (3, 0, b-3) and rank b: hyperbolic -> (2, 0, b-r-2), parabolic ->
-    (2, 1, b-r-3), elliptic -> (3, 0, b-r-3).  A mismatch is flagged, not
-    an error; a block signature matching none of the three patterns is an
-    error.
+def _ns_pattern(
+    L: Lattice, ns: Sublattice
+) -> tuple[NSType, SignatureTriple, tuple[int, int, int]]:
+    """(type, signature, expected companion signature) of the Picard block
+    ``ns`` of L, read off the signature of the restricted form.
+
+    Raises unless L is nondegenerate, ``ns`` lives in L and its signature
+    matches one of the three patterns (see ``ns_classification``).
     """
     if discriminant(L) == 0:
         raise LatticeError("ambient lattice must be nondegenerate")
@@ -369,15 +393,26 @@ def ns_classification(L: Lattice, ns: Sublattice) -> NSClassification:
         raise LatticeError(
             f"signature {tuple(ns_sig)} matches no Picard-block pattern"
         )
-    kind, _, expected = match
+    return match[0], ns_sig, match[2]
+
+
+def ns_classification(L: Lattice, ns: Sublattice) -> NSClassification:
+    """Classify a Neron-Severi block by the signature of the restricted form.
+
+    Also computes the orthogonal complement and compares its signature with
+    the companion pattern expected in an ambient lattice of signature
+    (3, 0, b-3) and rank b: hyperbolic -> (2, 0, b-r-2), parabolic ->
+    (2, 1, b-r-3), elliptic -> (3, 0, b-r-3).  A mismatch is flagged, not
+    an error; a block signature matching none of the three patterns is an
+    error.
+    """
+    kind, ns_sig, expected = _ns_pattern(L, ns)
     tr = orthogonal_complement(L, ns)
-    tr_sig = sub_signature(tr)
     return NSClassification(
         ns_type=kind,
         ns_signature=ns_sig,
-        tr_signature=tr_sig,
+        tr_signature=sub_signature(tr),
         expected_tr_signature=expected,
-        companion_ok=tuple(tr_sig) == expected,
         transcendental=tr,
     )
 
@@ -453,31 +488,33 @@ def symplectic_action_report(
     sublattice and as the coinvariant sublattice sitting inside the
     Neron-Severi block, and (3) in the parabolic and elliptic cases,
     whether the coinvariant sublattice is negative definite.  The
-    coinvariant signature is always reported.
+    coinvariant signature is always reported.  The block is classified as
+    ``ns_classification`` does, with the same errors, but the
+    transcendental block T = NS-perp is never built.
 
     The three containments of (1) and (2) are one fact, computed and
-    reported once as whether the rational span of the transcendental
-    block T = NS-perp lies in that of L^G.  G fixes T pointwise exactly
-    when T lies in L^G, and as L^G is saturated that is a rational
-    containment.  On the nondegenerate ambient that the classification
-    requires, T lies in L^G exactly when (L^G)-perp = L_G lies in T-perp,
-    whose rational span is that of NS.  T is G-stable because NS is,
-    which the stability check below has verified.
+    reported once as whether the rational span of L_G lies in that of
+    NS.  G fixes T pointwise exactly when T lies in L^G, and as L^G is
+    saturated that is a rational containment.  On the nondegenerate
+    ambient that the classification requires, T lies in L^G exactly when
+    (L^G)-perp = L_G lies in T-perp, whose rational span is that of NS.
+    T is G-stable because NS is, which the stability check below has
+    verified.
     """
     amb = _plain_lattice(target)
     _check_on(amb, G, "group")
     _check_on(amb, ns, "sublattice")
     _moved_images(G, ns, "the Neron-Severi block is not stable under the group")
-    cls = ns_classification(amb, ns)
+    kind = _ns_pattern(amb, ns)[0]
     co = G._coinvariant
     negdef = (
         is_negative_definite(co)
-        if cls.ns_type in (NSType.PARABOLIC, NSType.ELLIPTIC)
+        if kind in (NSType.PARABOLIC, NSType.ELLIPTIC)
         else None
     )
     return SymplecticActionReport(
-        ns_type=cls.ns_type,
-        fixes_transcendental_pointwise=rational_span_leq(cls.transcendental, G._invariant),
+        ns_type=kind,
+        fixes_transcendental_pointwise=rational_span_leq(co, ns),
         coinvariant_negative_definite=negdef,
         coinvariant_signature=sub_signature(co),
     )

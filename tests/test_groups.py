@@ -10,6 +10,7 @@ import hilblat.groups as groups
 from helpers import (
     abstract_matrix_closure,
     random_nondegenerate_lattice,
+    random_norm_pm2_vector,
     random_signed_permutation,
     random_sublattice,
     random_symmetric_gram,
@@ -44,6 +45,7 @@ from hilblat import (
     orthogonal_complement,
     rational_span_leq,
     reflection_isometry,
+    saturate,
     symplectic_action_report,
     verify_pair_properties,
 )
@@ -820,7 +822,7 @@ class TestOnePairPerGroup:
         assert invariant_sublattice(G) is rep.invariant
         assert coinvariant_sublattice(G) is rep.coinvariant
 
-    def test_two_kernels_across_the_four_readers(self, monkeypatch):
+    def test_one_kernel_across_the_four_readers(self, monkeypatch):
         D = douady_lattice(2)
         gens = [natural_lift(D, reflection_isometry(K3, _e(i))).matrix for i in (6, 8)]
         G = closure(D.full, gens)  # W(A2) on two roots of E8(-1)
@@ -848,8 +850,8 @@ class TestOnePairPerGroup:
         rep = verify_pair_properties(G)
         assert rep.all_pass and rep.invariant is inv and rep.coinvariant is co
         assert symplectic_action_report(D, G, ns).all_verified
-        # the second and last kernel is the transcendental block NS-perp
-        assert len(calls) == 2
+        # the report reads L_G in NS and builds no transcendental block
+        assert len(calls) == 1
         assert invariant_sublattice(G) is inv and coinvariant_sublattice(G) is co
         assert (inv.rank, co.rank) == (21, 2)
 
@@ -1060,6 +1062,185 @@ class TestFactsReadOnce:
         for ns, value in ((inside, True), (outside, False)):
             rep = symplectic_action_report(D, G, ns)
             assert rep.fixes_transcendental_pointwise is value
+
+
+def _unimodular_diagonal_group(rng):
+    """Signed permutations of an odd unimodular diagonal lattice with
+    entries +-1: each generator permutes the +1 coordinates among
+    themselves and the -1 coordinates among themselves."""
+    entries = [rng.choice((1, -1)) for _ in range(rng.randint(1, 5))]
+    L = diagonal_lattice(entries)
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        images = list(range(L.rank))
+        for sign in (1, -1):
+            block = [i for i, x in enumerate(entries) if x == sign]
+            shuffled = rng.sample(block, len(block))
+            for i, j in zip(block, shuffled):
+                images[i] = j
+        signs = [rng.choice((1, -1)) for _ in images]
+        gens.append(tuple(
+            tuple(signs[j] if images[j] == i else 0 for j in range(L.rank))
+            for i in range(L.rank)
+        ))
+    return closure(L, gens)
+
+
+def _k3_group_in_a_dense_marking(rng):
+    """A paper group conjugated by 12 reflections in vectors of norm +-2
+    with at most 4 nonzero entries, which mix the summands of K3."""
+    _, gens = PAPER_GROUPS[rng.randrange(len(PAPER_GROUPS))]
+    for _ in range(12):
+        r = reflection_isometry(K3, random_norm_pm2_vector(K3, rng, max_support=4)).matrix
+        gens = [mat_mul(r, mat_mul(g, r)) for g in gens]
+    return closure(K3, gens)
+
+
+class TestPairDeterminantsFromKnownFacts:
+    """On a unimodular ambient verify_pair_properties eliminates only the
+    lower-rank piece of (L^G, L_G) and derives the other determinant from
+    |det S| = |det S-perp| and the inertia; elsewhere it eliminates both."""
+
+    @staticmethod
+    def _assert_dets_are_eliminated(G):
+        rep = verify_pair_properties(G)
+        eliminated = tuple(core._eliminate(s.gram())[1] for s in (rep.invariant, rep.coinvariant))
+        assert (rep.invariant_gram_det, rep.coinvariant_gram_det) == eliminated
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32), st.sampled_from(["random", "pool", "weyl"]))
+    def test_on_the_group_families(self, seed, family):
+        self._assert_dets_are_eliminated(_group_of_family(family, random.Random(seed)))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32))
+    def test_on_k3_in_dense_markings(self, seed):
+        self._assert_dets_are_eliminated(_k3_group_in_a_dense_marking(random.Random(seed)))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(st.integers(0, 2**32))
+    def test_on_odd_unimodular_diagonal_lattices(self, seed):
+        G = _unimodular_diagonal_group(random.Random(seed))
+        assert abs(det(G.ambient.gram)) == 1
+        self._assert_dets_are_eliminated(G)
+
+    @pytest.mark.parametrize("lift", [None, 2])
+    def test_eliminations_per_ambient(self, monkeypatch, lift):
+        # one on the unimodular K3, both on DOUADY(2), whose determinant is -2
+        gens = [reflection_isometry(K3, _e(i)).matrix for i in (6, 8)]
+        if lift is None:
+            G = closure(K3, gens)
+        else:
+            D = douady_lattice(lift)
+            G = closure(D.full, [natural_lift(D, g).matrix for g in gens])
+        inv, co = invariant_sublattice(G), coinvariant_sublattice(G)
+        G.ambient._form  # the ambient's own elimination, cached on the lattice
+        calls = []
+        real = core._eliminate
+
+        def eliminate(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(core, "_eliminate", eliminate)
+        rep = verify_pair_properties(G)
+        assert rep.all_pass
+        assert calls == ([co.gram()] if lift is None else [inv.gram(), co.gram()])
+
+
+class TestSymplecticReportFromKnownFacts:
+    """symplectic_action_report classifies NS as ns_classification does and
+    reads "G fixes T pointwise" as L_G in NS, without building T."""
+
+    def test_builds_no_transcendental_block(self, monkeypatch):
+        D = douady_lattice(2)
+        G = closure(D.full, [natural_lift(D, reflection_isometry(K3, _e(6))).matrix])
+        cases = [(D, G, Sublattice(D.full, rows)) for rows in ([D.delta], [_e(6) + (0,), D.delta])]
+        for _, gens in PAPER_GROUPS:
+            G = closure(K3, gens)
+            x = (1, 2) * 3 + (0,) * 16  # positive, fixed by every paper group
+            ns = saturate(K3, Sublattice(K3, coinvariant_sublattice(G).basis + (x,)))
+            cases.append((K3, G, ns))
+        expected = []
+        for target, G, ns in cases:
+            try:
+                cls = ns_classification(G.ambient, ns)
+            except LatticeError as exc:
+                expected.append(str(exc))
+                continue
+            tr = orthogonal_complement(G.ambient, ns)
+            expected.append((cls.ns_type, rational_span_leq(tr, invariant_sublattice(G))))
+
+        def forbidden(*args):
+            raise AssertionError("symplectic_action_report built the transcendental block")
+
+        monkeypatch.setattr(groups, "ns_classification", forbidden)
+        monkeypatch.setattr(groups, "orthogonal_complement", forbidden)
+        monkeypatch.setattr(core, "orthogonal_complement", forbidden)
+        got = []
+        for target, G, ns in cases:
+            try:
+                rep = symplectic_action_report(target, G, ns)
+            except LatticeError as exc:
+                got.append(str(exc))
+                continue
+            got.append((rep.ns_type, rep.fixes_transcendental_pointwise))
+        assert got == expected
+        assert "signature (3, 0, 2) matches no Picard-block pattern" in got
+        assert (NSType.ELLIPTIC, False) in got and (NSType.ELLIPTIC, True) in got
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("unstable", UNSTABLE_NS),
+            ("other lattice", "sublattice lives in a different lattice"),
+            ("degenerate", "ambient lattice must be nondegenerate"),
+            ("S3-on-U", "signature (3, 0, 2) matches no Picard-block pattern"),
+        ],
+    )
+    def test_rejections_keep_their_text(self, case, message):
+        if case == "unstable":
+            target, G, ns = U, closure(U, [SWAP]), Sublattice(U, [(1, 0)])
+        elif case == "other lattice":
+            target, G, ns = U, closure(U, [SWAP]), full_sublattice(diagonal_lattice((1, 1)))
+        elif case == "degenerate":
+            L = direct_sum(U, Lattice(((0,),)))
+            target, G, ns = L, closure(L, [((0, 1, 0), (1, 0, 0), (0, 0, 1))]), full_sublattice(L)
+        else:
+            G = closure(K3, dict(PAPER_GROUPS)["S3-on-U"])
+            x = (1, 1) * 3 + (0,) * 16
+            target, ns = K3, saturate(K3, Sublattice(K3, coinvariant_sublattice(G).basis + (x,)))
+        with pytest.raises(LatticeError) as err:
+            symplectic_action_report(target, G, ns)
+        assert str(err.value) == message
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from(["random", "pool", "weyl"]),
+        st.sampled_from(["invariant", "coinvariant", "full", "orbit", "random"]),
+    )
+    def test_errors_match_the_stability_check_and_the_classification(self, seed, family, kind):
+        """The report raises the unstable-block text when some generator
+        moves NS out of itself, else whatever ns_classification raises."""
+        rng = random.Random(seed)
+        G = _group_of_family(family, rng)
+        L = G.ambient
+        ns = _sublattice_of_kind(G, L, kind, rng)
+        expected = None
+        if not all(ns.contains(mat_vec(g, v)) for g in G.generators for v in ns.basis):
+            expected = UNSTABLE_NS
+        else:
+            try:
+                ns_classification(L, ns)
+            except LatticeError as exc:
+                expected = str(exc)
+        try:
+            symplectic_action_report(L, G, ns)
+        except LatticeError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
 
 
 class TestNegativeDefinite:

@@ -41,9 +41,8 @@ RECORDS = [
     (DouadyLattice, (2,), ("n",)),
     (
         KahlerCandidateReport,
-        (Fraction(1, 2), Fraction(3), Fraction(-4), Fraction(5, 3), True, False, True),
-        ("e_coefficient", "q_total", "q_against_e", "q_surface_part",
-         "positive_norm", "positive_against_e", "surface_part_positive"),
+        (Fraction(1, 2), Fraction(3), Fraction(-4), Fraction(5, 3)),
+        ("e_coefficient", "q_total", "q_against_e", "q_surface_part"),
     ),
     (
         PairReport,
@@ -53,9 +52,9 @@ RECORDS = [
     (
         NSClassification,
         (NSType.HYPERBOLIC, SignatureTriple(1, 0, 0), SignatureTriple(0, 0, 1),
-         (0, 0, 1), False, ANTILINE),
+         (0, 0, 1), ANTILINE),
         ("ns_type", "ns_signature", "tr_signature", "expected_tr_signature",
-         "companion_ok", "transcendental"),
+         "transcendental"),
     ),
     (
         SymplecticActionReport,
@@ -137,6 +136,30 @@ def test_wrong_fields_raise_type_error(record, case):
     }
     with pytest.raises(TypeError):
         calls[case]()
+
+
+@pytest.mark.parametrize(
+    "cls, args, derived",
+    [
+        (KahlerCandidateReport, (Fraction(1, 2), Fraction(3), Fraction(0), Fraction(-5, 3)),
+         {"positive_norm": True, "positive_against_e": False, "surface_part_positive": False}),
+        (KahlerCandidateReport, (Fraction(-1), Fraction(-3), Fraction(2), Fraction(1, 4)),
+         {"positive_norm": False, "positive_against_e": True, "surface_part_positive": True}),
+        (NSClassification, (NSType.ELLIPTIC, SignatureTriple(0, 0, 1), SignatureTriple(1, 0, 0),
+                            (1, 0, 0), LINE), {"companion_ok": True}),
+        (NSClassification, (NSType.ELLIPTIC, SignatureTriple(0, 0, 1), SignatureTriple(1, 0, 0),
+                            (0, 0, 1), LINE), {"companion_ok": False}),
+    ],
+)
+def test_flags_are_read_off_the_fields(cls, args, derived):
+    # each flag compares fields of the record: no field of its own, so no
+    # place in the constructor, equality, hash or repr
+    value = cls(*args)
+    assert {name: getattr(value, name) for name in derived} == derived
+    assert not set(derived) & set(cls._fields) and not any(name in repr(value) for name in derived)
+    for name in derived:
+        with pytest.raises(AttributeError):
+            setattr(value, name, True)
 
 
 def test_isometry_group_repr_leaves_out_private_fields():
