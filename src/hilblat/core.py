@@ -433,10 +433,39 @@ def _hnf(rows) -> tuple[Vector, ...]:
     return tuple(tuple(pivots[c]) for c in cols)
 
 
+def _on_support(rows, width: int, solve) -> tuple[list[int], list[Vector]]:
+    """(support, placed): the support is the columns where some row is
+    nonzero, in order; ``solve`` gets the rows restricted to it and its
+    size s, and returns vectors of length s, which are placed back at
+    those columns of Z^width with zeros elsewhere.
+
+    Restriction to the support keeps the order of the columns, so a
+    canonical Hermite basis stays one in either direction.
+    """
+    columns = list(zip(*rows))
+    support = [k for k, column in enumerate(columns) if any(column)]
+    solved = solve(list(zip(*map(columns.__getitem__, support))), len(support))
+    placed = dict(zip(support, zip(*solved)))
+    zero = (0,) * len(solved)
+    return support, list(zip(*(placed.get(k, zero) for k in range(width))))
+
+
 def _kernel(rows, width: int) -> tuple[Vector, ...]:
-    """integer_kernel without input checks: the kernel of the HNF of the
-    rows, which has the same kernel and at most ``width`` rows."""
-    return _kernel_of_hnf(_hnf(rows), width)
+    """integer_kernel without input checks, eliminated on the support of
+    the rows.
+
+    The unit vector of each column where every row is zero lies in the
+    kernel, and the rest of a basis is the kernel on the support (from the
+    HNF of the rows there, which has the same kernel), placed back.  Both
+    parts are canonical and their pivots are distinct, and each row is
+    zero in the pivot columns of the other part, so merged in pivot-column
+    order they are the canonical basis.  Its rows have positive pivots, so
+    that order is the descending order of tuples.
+    """
+    support, placed = _on_support(rows, width, lambda h, s: _kernel_of_hnf(_hnf(h), s))
+    unit = _identity_matrix(width)
+    free = [unit[j] for j in set(range(width)).difference(support)]
+    return tuple(sorted(placed + free, reverse=True))
 
 
 def _kernel_of_hnf(h: tuple[Vector, ...], width: int) -> tuple[Vector, ...]:
@@ -458,16 +487,19 @@ def _saturation(h: tuple[Vector, ...], width: int) -> tuple[Vector, ...]:
     Z^width) of the span of a canonical Hermite basis ``h``: the kernel
     of its kernel, two echelon passes from [h^T | I].
 
-    When every pivot is 1, ``h`` itself is returned.  The pivot columns
-    embed the saturation in Z^r and send the span of ``h`` to a sublattice
-    of index P there, the product of the pivots, so the index of the span
-    in its saturation divides P; with P = 1 the span is saturated, and its
-    canonical basis is ``h``.
+    The saturation lies in the saturated coordinate sublattice of the
+    columns where some row of ``h`` is nonzero, so both passes run there
+    and the result is padded with zeros.  When every pivot is 1, ``h``
+    itself is returned.  The pivot columns embed the saturation in Z^r
+    and send the span of ``h`` to a sublattice of index P there, the
+    product of the pivots, so the index of the span in its saturation
+    divides P; with P = 1 the span is saturated, and its canonical basis
+    is ``h``.
     """
     # the first nonzero entry of each row is its pivot
     if all(next(filter(None, row)) == 1 for row in h):
         return h
-    return _kernel_of_hnf(_kernel_of_hnf(h, width), width)
+    return tuple(_on_support(h, width, lambda h, s: _kernel_of_hnf(_kernel_of_hnf(h, s), s))[1])
 
 
 def _sift(basis: tuple[Vector, ...], vectors, rational: bool = False) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
+from itertools import compress
 from operator import itemgetter, sub
 from typing import Optional
 
@@ -75,9 +76,10 @@ class IsometryGroup(_Record):
     nonzero entries of their columns, the form in which they act on
     vectors.  The fixed sublattice L^G and its orthogonal complement L_G
     are each computed once, on first use, and shared by every reader.
-    L^G is the integer kernel of the stacked g - I; on a nondegenerate
-    ambient L_G is the saturation of the images of the g - 1, so neither
-    waits for the other.
+    On a nondegenerate ambient L_G is the saturation of the images of the
+    g - 1, and L^G its orthogonal complement, so L^G waits for L_G; on a
+    degenerate one L^G is the integer kernel of the stacked g - I, and
+    L_G its orthogonal complement.
 
     Two groups are equal when they act on the same lattice, have the same
     order, and every generator of one is an element of the other; the hash
@@ -115,18 +117,25 @@ class IsometryGroup(_Record):
     def _invariant(self) -> Sublattice:
         """Saturated sublattice of vectors fixed by every group element.
 
-        Computed as the integer kernel of the stacked matrices g - I over
-        the generators only: a vector fixed by all generators is fixed by
-        the whole group.
+        On a nondegenerate ambient it is the orthogonal complement of L_G:
+        one kernel of the Gram images of L_G's basis.  Since
+        q(x, (g - 1) y) = q((g^-1 - 1) x, y) and the form is nondegenerate,
+        x is orthogonal to im(g - 1) exactly when g^-1 x = x, that is
+        when g x = x; and L_G has the rational span of the images of the
+        g - 1 over the generators.  A degenerate ambient takes the integer
+        kernel of the stacked matrices g - I over the generators only: a
+        vector fixed by all generators is fixed by the whole group.
         """
-        n = self.ambient.rank
-        identity = _identity_matrix(n)
+        L = self.ambient
+        if discriminant(L) != 0:
+            return orthogonal_complement(L, self._coinvariant)
+        identity = _identity_matrix(L.rank)
         rows = [
             tuple(map(sub, row, unit))
             for g in self.generators
             for row, unit in zip(g, identity)
         ]
-        return Sublattice._trusted(self.ambient, _kernel(rows, n))
+        return Sublattice._trusted(L, _kernel(rows, L.rank))
 
     @cached_property
     def _coinvariant(self) -> Sublattice:
@@ -140,30 +149,20 @@ class IsometryGroup(_Record):
         is the rational span of L^G; on a nondegenerate form S is in turn
         the orthogonal space of L^G, and L_G = (L^G)-perp is its
         saturation.  A fixed basis vector gives (g - 1) e_j = 0, so the
-        moved positions are enough.  The saturation is computed on the
-        coordinates where some of these vectors is nonzero, since their
-        span lies in that saturated coordinate sublattice, and padded back
-        with zeros; an embedding that keeps the order of the coordinates
-        keeps a Hermite basis canonical.  A degenerate ambient takes the
-        orthogonal complement of the fixed sublattice.
+        moved positions are enough.  The saturation runs on the
+        coordinates where some of these vectors is nonzero.  A degenerate
+        ambient takes the orthogonal complement of the fixed sublattice.
         """
         L = self.ambient
         if discriminant(L) == 0:
             return orthogonal_complement(L, self._invariant)
-        n = L.rank
-        identity = _identity_matrix(n)
+        identity = _identity_matrix(L.rank)
         vectors = [
             tuple(map(sub, g_columns[j], identity[j]))
             for g_columns in map(transpose, self.generators)
             for j in self._moved
         ]
-        columns = list(zip(*vectors))
-        support = [k for k, column in enumerate(columns) if any(column)]
-        h = _saturation(_hnf(zip(*map(columns.__getitem__, support))), len(support))
-        # the columns of h go back to their positions; the others are zero
-        placed = dict(zip(support, zip(*h)))
-        zero = (0,) * len(h)
-        return Sublattice._trusted(L, tuple(zip(*(placed.get(k, zero) for k in range(n)))))
+        return Sublattice._trusted(L, _saturation(_hnf(vectors), L.rank))
 
     def __contains__(self, g) -> bool:
         """Whether ``g``, an Isometry or a raw integer matrix, is an element.
@@ -225,9 +224,14 @@ def closure(target, generators, cap: int = DEFAULT_CLOSURE_CAP) -> IsometryGroup
     gens = [_isometry_matrix(L, g, "generator") for g in generators]
     too_big = f"group order exceeds the enumeration cap {cap}"
     # Sparse columns: the dense mat_vec made the closures of a
-    # fixed-lattice round 3x slower.
-    columns = tuple(_support(transpose(g)) for g in gens)
-    points = list(_identity_matrix(n))
+    # fixed-lattice round 3x slower.  A column equal to e_j is [(j, 1)],
+    # taken without a scan.
+    unit = _identity_matrix(n)
+    columns = tuple(
+        [[(j, 1)] if c == unit[j] else list(compress(enumerate(c), c)) for j, c in enumerate(cs)]
+        for cs in map(transpose, gens)
+    )
+    points = list(unit)
     index = {v: k for k, v in enumerate(points)}
     moved = tuple(j for j in range(n) if any(cols[j] != [(j, 1)] for cols in columns))
     # a fixed basis vector keeps its placeholder images, which no search reads
@@ -237,7 +241,7 @@ def closure(target, generators, cap: int = DEFAULT_CLOSURE_CAP) -> IsometryGroup
     for root in moved:
         queue = [root]
         for k in queue:
-            support = [(j, x) for j, x in enumerate(points[k]) if x]
+            support = list(compress(enumerate(points[k]), points[k]))
             images[k] = image = []
             for cols in columns:
                 w = _combine(support, cols, n)
@@ -330,11 +334,13 @@ def verify_pair_properties(G: IsometryGroup) -> PairReport:
     L, where only the lower-rank piece S of the pair (L^G, L_G) is; the
     other is S-perp.  S is saturated, and for a primitive S of a
     unimodular lattice |det S| = |det S-perp| (Nikulin, "Integral
-    symmetric bilinear forms", 1979, 1.6).  The negative index of S-perp
-    is neg = neg(L) - neg(S) - zero(S), so det S-perp is
-    (-1)^neg |det S|: a nondegenerate form's determinant has the sign
-    (-1)^neg, and when S is degenerate S-perp shares its radical and
-    both determinants are 0.
+    symmetric bilinear forms", 1979, 1.6).  S-perp shares the radical of
+    S, and its inertia is (pos(L) - pos(S) - zero(S), zero(S),
+    neg(L) - neg(S) - zero(S)), so det S-perp is (-1)^neg |det S|: a
+    nondegenerate form's determinant has the sign (-1)^neg, and when S is
+    degenerate both determinants are 0.  That inertia and determinant are
+    kept as S-perp's form, so that reading its signature later
+    (``sub_signature``, ``is_negative_definite``) eliminates nothing.
     """
     L = G.ambient
     d = discriminant(L)
@@ -343,10 +349,13 @@ def verify_pair_properties(G: IsometryGroup) -> PairReport:
     inv, co = G._invariant, G._coinvariant
     if abs(d) != 1:
         return PairReport(inv, co, inv._form[1], co._form[1])
-    s_is_co = co.rank <= inv.rank
-    (_, zero, neg), det_s = (co if s_is_co else inv)._form
-    det_perp = (-1) ** (L._form[0].neg - neg - zero) * abs(det_s)
-    return PairReport(inv, co, *((det_perp, det_s) if s_is_co else (det_s, det_perp)))
+    s, perp = (co, inv) if co.rank <= inv.rank else (inv, co)
+    (pos, zero, neg), det_s = s._form
+    amb = L._form[0]
+    sig = SignatureTriple(amb.pos - pos - zero, zero, amb.neg - neg - zero)
+    # the cached_property's own slot: S-perp's form, known without elimination
+    perp.__dict__["_form"] = sig, (-1) ** sig.neg * abs(det_s)
+    return PairReport(inv, co, inv._form[1], co._form[1])
 
 
 class NSType(Enum):
@@ -498,15 +507,22 @@ def symplectic_action_report(
     saturated that is a rational containment.  On the nondegenerate
     ambient that the classification requires, T lies in L^G exactly when
     (L^G)-perp = L_G lies in T-perp, whose rational span is that of NS.
-    T is G-stable because NS is, which the stability check below has
-    verified.
+    T is G-stable because NS is.
+
+    NS is G-stable when L_G lies in it, since (g - 1) x lies in L_G for
+    every x; so one integral sift of L_G's basis into NS settles both the
+    stability and (1).  Only when it fails are the images of NS's basis
+    checked, which raises when one leaves NS, and the rational containment
+    read.
     """
     amb = _plain_lattice(target)
     _check_on(amb, G, "group")
     _check_on(amb, ns, "sublattice")
-    _moved_images(G, ns, "the Neron-Severi block is not stable under the group")
-    kind = _ns_pattern(amb, ns)[0]
     co = G._coinvariant
+    inside = _sift(ns.basis, co.basis)
+    if not inside:
+        _moved_images(G, ns, "the Neron-Severi block is not stable under the group")
+    kind = _ns_pattern(amb, ns)[0]
     negdef = (
         is_negative_definite(co)
         if kind in (NSType.PARABOLIC, NSType.ELLIPTIC)
@@ -514,7 +530,7 @@ def symplectic_action_report(
     )
     return SymplecticActionReport(
         ns_type=kind,
-        fixes_transcendental_pointwise=rational_span_leq(co, ns),
+        fixes_transcendental_pointwise=inside or rational_span_leq(co, ns),
         coinvariant_negative_definite=negdef,
         coinvariant_signature=sub_signature(co),
     )

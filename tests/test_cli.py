@@ -12,6 +12,7 @@ import hilblat.cli as cli
 import hilblat.core as core
 import hilblat.groups as groups
 from hilblat import (
+    Lattice,
     LatticeError,
     Sublattice,
     WorkspaceError,
@@ -23,6 +24,7 @@ from hilblat import (
     identity_isometry,
     orthogonal_complement,
     parse_workspace,
+    signature,
 )
 from hilblat.cli import build_parser, main
 from hilblat.workspace import builtin_lattice, load_workspace
@@ -913,13 +915,14 @@ class TestReportWork:
     )
 
     @pytest.mark.parametrize("name, eliminations", [
-        ("workspace.json", 20), ("douady_workspace.json", 1),
+        ("workspace.json", 18), ("douady_workspace.json", 1),
         # every vector and isometry names DOUADY(2) itself, not an alias
         ("douady_named_workspace.json", 1),
     ])
     def test_one_elimination_per_form(self, name, eliminations):
         # each lattice and sublattice eliminates its form once, for its
-        # signature and its determinant together
+        # signature and its determinant together; of a group's pair on a
+        # unimodular lattice, only the lower-rank piece is eliminated
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(hilblat.__file__).parents[1])
         child = subprocess.run(
@@ -957,7 +960,10 @@ class TestReportWork:
         # the exit code, the groups built, and how many built their matrices
         assert child.stderr.split() == ["0", str(groups), "0"]
 
-    def test_invariant_eliminates_each_gram_once(self, monkeypatch, capsys):
+    def test_invariant_eliminates_one_gram_on_a_unimodular_ambient(self, monkeypatch, capsys):
+        # the swap group's pieces of the unimodular plane both have rank 1:
+        # L_G is eliminated, and the inertia and determinant of
+        # L^G = (L_G)-perp follow from it
         seen = []
         eliminate = core._eliminate
         monkeypatch.setattr(core, "_eliminate", lambda m: seen.append(m) or eliminate(m))
@@ -967,7 +973,10 @@ class TestReportWork:
         assert got["exit"] == 0
         payload = json.loads(got["stdout"])
         L = hyperbolic_plane()
-        for block in ("invariant", "coinvariant"):
+        for block, count in (("invariant", 0), ("coinvariant", 1)):
             gram = Sublattice(L, payload[block]["basis"]).gram()
-            assert seen.count(gram) == 1, block
+            assert seen.count(gram) == count, block
             assert payload[block]["gram_det"] == det(gram)
+            assert payload[block]["negative_definite"] == (
+                signature(Lattice(gram)) == (0, 0, len(gram))
+            )

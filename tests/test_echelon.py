@@ -38,6 +38,7 @@ from hilblat import (
     integer_kernel,
     invariant_sublattice,
     k3_lattice,
+    mat_vec,
     orthogonal_complement,
     pairing,
     rational_span_leq,
@@ -313,6 +314,68 @@ class TestSaturation:
         expected = core._saturation(S.basis, L.rank)
         assert saturate(L, S).basis == saturation_basis(S.basis, L.rank) == expected
         assert S.saturated == (expected == S.basis)
+
+
+def spread(rows, width, rng):
+    """(new width, positions of the old columns, ``rows``) with 0 to 4 zero
+    columns inserted at random positions; the old columns keep their
+    order."""
+    wide = width + rng.randint(0, 4)
+    keep = sorted(rng.sample(range(wide), width))
+    out = []
+    for row in rows:
+        placed = [0] * wide
+        for j, x in zip(keep, row):
+            placed[j] = x
+        out.append(placed)
+    return wide, keep, out
+
+
+class TestOnTheSupport:
+    """Kernels, saturations and complements run on the columns where their
+    input is nonzero; with zero columns inserted at random positions they
+    still equal the full-width reference eliminations."""
+
+    @exact
+    @given(matrices, st.integers(0, 2**32))
+    def test_integer_kernel(self, case, seed):
+        width, rows = case
+        width, _, rows = spread(rows, width, random.Random(seed))
+        assert integer_kernel(rows, width) == reference_integer_kernel(rows, width)
+
+    @exact
+    @given(matrices, st.integers(0, 2**32))
+    def test_saturation_basis(self, case, seed):
+        width, rows = case
+        width, _, rows = spread(rows, width, random.Random(seed))
+        gens = reference_hermite_basis(rows, width)
+        expected = (
+            reference_integer_kernel(reference_integer_kernel(gens, width), width)
+            if gens
+            else ()
+        )
+        assert saturation_basis(rows, width) == expected
+
+    @exact
+    @given(st.integers(0, 2**32))
+    def test_orthogonal_complement(self, seed):
+        """S in L, with L's coordinates spread among extra ones that carry
+        a diagonal form, sometimes degenerate, orthogonal to L's: the Gram
+        images of S's basis vanish on the extra columns."""
+        rng = random.Random(seed)
+        L = random_nondegenerate_lattice(rng, max_rank=5)
+        S = random_sublattice(L, rng)
+        width, keep, basis = spread(S.basis, L.rank, rng)
+        gram = [[0] * width for _ in range(width)]
+        for j in set(range(width)).difference(keep):
+            gram[j][j] = rng.randint(-2, 2)
+        for i, row in zip(keep, L.gram):
+            for j, x in zip(keep, row):
+                gram[i][j] = x
+        big = Lattice(gram)
+        images = [mat_vec(big.gram, v) for v in basis]
+        got = orthogonal_complement(big, Sublattice(big, basis)).basis
+        assert got == reference_integer_kernel(images, width)
 
 
 class TestSift:

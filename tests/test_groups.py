@@ -808,8 +808,9 @@ class TestStabilityChecks:
         assert hnf_calls == [] and sift_calls == []
         rep = symplectic_action_report(D, G, ns)
         assert rep.fixes_transcendental_pointwise and rep.all_verified
-        # the block's stability check; NS-perp is fixed pointwise
-        assert len(sift_calls) == 1 and not sift_calls[0][2]
+        # L_G in NS, which makes NS stable and NS-perp fixed pointwise
+        co = coinvariant_sublattice(G)
+        assert sift_calls == [(ns.basis, co.basis, False)]
         assert contains_calls == []
 
 
@@ -839,19 +840,18 @@ class TestOnePairPerGroup:
         # L_G takes no kernel and does not wait for L^G
         co = coinvariant_sublattice(G)
         assert calls == [] and "_invariant" not in G.__dict__
-        # L^G takes one, on the stacked g - I
+        # L^G takes one, on the Gram images of L_G's basis
         inv = invariant_sublattice(G)
-        assert calls == [
-            [
-                tuple(g[i][j] - (1 if i == j else 0) for j in range(23))
-                for g in gens for i in range(23)
-            ]
-        ]
+        assert calls == [[mat_vec(D.full.gram, v) for v in co.basis]]
+        # read first, L^G fills L_G
+        H = closure(D.full, gens)
+        assert invariant_sublattice(H) == inv and H.__dict__["_coinvariant"] == co
+        calls.clear()
         rep = verify_pair_properties(G)
         assert rep.all_pass and rep.invariant is inv and rep.coinvariant is co
         assert symplectic_action_report(D, G, ns).all_verified
         # the report reads L_G in NS and builds no transcendental block
-        assert len(calls) == 1
+        assert calls == []
         assert invariant_sublattice(G) is inv and coinvariant_sublattice(G) is co
         assert (inv.rank, co.rank) == (21, 2)
 
@@ -1096,6 +1096,72 @@ def _k3_group_in_a_dense_marking(rng):
     return closure(K3, gens)
 
 
+def _stacked_kernel(G):
+    """The integer kernel of the stacked g - I over the generators."""
+    rows = [
+        tuple(x - (i == j) for j, x in enumerate(row))
+        for g in G.generators
+        for i, row in enumerate(g)
+    ]
+    return integer_kernel(rows, G.ambient.rank)
+
+
+def _degenerate_group(rng):
+    """A group of the random family on L + <0>^k, conjugated by a shear
+    that adds multiples of L's coordinates to the radical ones: an
+    isometry, as the radical is orthogonal to everything."""
+    G0 = _random_isometry_group(rng)[0]
+    n, k = G0.ambient.rank, rng.randint(1, 2)
+    L = direct_sum(G0.ambient, Lattice(((0,) * k,) * k))
+    unit = identity_matrix(n + k)
+    h = [[rng.randint(-2, 2) for _ in range(n)] + [0] * k for _ in range(k)]
+    shear = unit[:n] + tuple(tuple(map(sum, zip(u, r))) for u, r in zip(unit[n:], h))
+    inverse = unit[:n] + tuple(tuple(x - y for x, y in zip(u, r)) for u, r in zip(unit[n:], h))
+    padded = (tuple(r + (0,) * k for r in g) + unit[n:] for g in G0.generators)
+    return closure(L, [mat_mul(shear, mat_mul(g, inverse)) for g in padded])
+
+
+class TestInvariantFromTheCoinvariant:
+    """On a nondegenerate ambient L^G is the orthogonal complement of L_G,
+    and reading it fills L_G; it equals the integer kernel of the stacked
+    g - I bit for bit.  A degenerate ambient takes that kernel itself, and
+    L_G is its complement there."""
+
+    @staticmethod
+    def _assert_stacked_kernel(G):
+        inv = invariant_sublattice(G)  # computed before L_G
+        assert inv.basis == _stacked_kernel(G)
+        nondegenerate = det(G.ambient.gram) != 0
+        assert ("_coinvariant" in G.__dict__) == nondegenerate
+        assert coinvariant_sublattice(G) == orthogonal_complement(G.ambient, inv)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32), st.sampled_from(["random", "pool", "weyl", "unimodular"]))
+    def test_on_the_group_families(self, seed, family):
+        rng = random.Random(seed)
+        if family == "unimodular":
+            G = _unimodular_diagonal_group(rng)
+        else:
+            G = _group_of_family(family, rng)
+        self._assert_stacked_kernel(G)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(st.integers(0, 2**32))
+    def test_on_degenerate_ambients(self, seed):
+        G = _degenerate_group(random.Random(seed))
+        assert det(G.ambient.gram) == 0
+        self._assert_stacked_kernel(G)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(st.integers(0, 2**32))
+    def test_on_k3_in_dense_markings(self, seed):
+        self._assert_stacked_kernel(_k3_group_in_a_dense_marking(random.Random(seed)))
+
+    @pytest.mark.parametrize("name, gens", PAPER_GROUPS, ids=[n for n, _ in PAPER_GROUPS])
+    def test_paper_groups_in_the_standard_marking(self, name, gens):
+        self._assert_stacked_kernel(closure(K3, gens))
+
+
 class TestPairDeterminantsFromKnownFacts:
     """On a unimodular ambient verify_pair_properties eliminates only the
     lower-rank piece of (L^G, L_G) and derives the other determinant from
@@ -1104,8 +1170,12 @@ class TestPairDeterminantsFromKnownFacts:
     @staticmethod
     def _assert_dets_are_eliminated(G):
         rep = verify_pair_properties(G)
-        eliminated = tuple(core._eliminate(s.gram())[1] for s in (rep.invariant, rep.coinvariant))
-        assert (rep.invariant_gram_det, rep.coinvariant_gram_det) == eliminated
+        pieces = (rep.invariant, rep.coinvariant)
+        eliminated = tuple(core._eliminate(s.gram()) for s in pieces)
+        dets = (rep.invariant_gram_det, rep.coinvariant_gram_det)
+        assert dets == tuple(d for _, d in eliminated)
+        # the form kept on the derived piece holds its signature too
+        assert tuple(s._form for s in pieces) == eliminated
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(st.integers(0, 2**32), st.sampled_from(["random", "pool", "weyl"]))
@@ -1213,6 +1283,30 @@ class TestSymplecticReportFromKnownFacts:
         with pytest.raises(LatticeError) as err:
             symplectic_action_report(target, G, ns)
         assert str(err.value) == message
+
+    def test_stability_check_only_without_the_coinvariant(self, monkeypatch):
+        """A block holding L_G is stable, so its images are never formed; a
+        stable block without L_G is checked and reports False."""
+        G = closure(K3, dict(PAPER_GROUPS)["W(A2)"])
+        co, inv = coinvariant_sublattice(G), invariant_sublattice(G)
+        x = (1, 2) * 3 + (0,) * 16
+        holding = saturate(K3, Sublattice(K3, co.basis + (x,)))
+        # a negative vector of L^G spans a pointwise-fixed elliptic block
+        v = next(v for v in inv.basis if norm(K3, v) < 0)
+        without = Sublattice(K3, [v])
+        checked = []
+        real = groups._moved_images
+
+        def moved_images(G, s, unstable):
+            checked.append(s)
+            return real(G, s, unstable)
+
+        monkeypatch.setattr(groups, "_moved_images", moved_images)
+        rep = symplectic_action_report(K3, G, holding)
+        assert rep.fixes_transcendental_pointwise and checked == []
+        rep = symplectic_action_report(K3, G, without)
+        assert rep.ns_type is NSType.ELLIPTIC and checked == [without]
+        assert not rep.fixes_transcendental_pointwise and not rep.all_verified
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(
